@@ -266,7 +266,9 @@ def build_context(o: OptionSet) -> Dict[str, Any]:
         "self.processor_controller = ProcessorController(self, self.processor)")
     ctx["make_overload"] = on(
         overload, "self.overload = rt.OverloadController("
-                  "max_connections=configuration.max_connections)")
+                  "max_connections=configuration.max_connections"
+                  + (", trip_dump_after=configuration.overload_dump_after"
+                     if degradation else "") + ")")
     ctx["watch_overload"] = on(
         overload, 'self.overload.watch("reactive", self.processor.queue_probe, '
                   "rt.Watermark(configuration.overload_high, "
@@ -465,6 +467,9 @@ def build_context(o: OptionSet) -> Dict[str, Any]:
                   "key=lambda s: (len(s.container), s.shard_id))")
     ctx["shard_overload_opened"] = on(
         overload, "shard.overload.connection_opened()")
+    ctx["shard_record_adopt"] = on(
+        profiling, 'listen.flight.record("adopt", f"shard={shard.shard_id} '
+                   '{handle.name}", getattr(handle, "trace_id", 0))')
     ctx["shard_log_accept"] = on(
         logging, 'self.primary.log.info(f"accepted {handle.name} '
                  '-> shard {shard.shard_id}")')

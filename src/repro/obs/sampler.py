@@ -6,14 +6,11 @@ cache hit rate — have to be pulled.  :class:`PeriodicSampler` holds
 (gauge, probe) pairs and copies probe values into gauges on every
 :meth:`sample` tick.
 
-Two drive modes, matching the two server assemblies:
-
-* the generated frameworks re-arm a ``obs-sample`` timer through their
-  Timer Event Source and call :meth:`sample` from the generated
-  ServerEventHandler (so sampling flows through the same event machinery
-  as everything else);
-* the hand-wired :class:`~repro.runtime.server.ReactorServer` runs
-  :meth:`start`'s helper thread.
+The sampler owns no thread.  Generated frameworks re-arm an
+``obs-sample`` timer through their Timer Event Source and call
+:meth:`sample` from the generated ServerEventHandler, so sampling flows
+through the same event machinery as everything else; status pages also
+call it once before rendering.
 
 Probe exceptions are swallowed (a dying probe must not take the server
 down) and ``None`` returns skip the tick, so probes may be attached
@@ -41,8 +38,6 @@ class PeriodicSampler:
         self.clock = clock
         self._probes: List[Tuple[object, Callable[[], Optional[float]]]] = []
         self._lock = threading.Lock()
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
         self.ticks = registry.counter(
             "server_sampler_ticks_total", "Sampler ticks executed")
 
@@ -67,22 +62,3 @@ class PeriodicSampler:
                 continue
             gauge.set(float(value))
         self.ticks.inc()
-
-    # -- thread mode (hand-wired ReactorServer) --------------------------
-    def start(self) -> None:
-        if self._thread is not None:
-            return
-        self._stop.clear()
-        self._thread = threading.Thread(target=self._run, daemon=True,
-                                        name="obs-sampler")
-        self._thread.start()
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=2.0)
-            self._thread = None
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.interval):
-            self.sample()

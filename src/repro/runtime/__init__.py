@@ -42,7 +42,6 @@ from repro.runtime.deployment import (
     generated_worker,
     generated_worker_args,
     in_worker_process,
-    reactor_worker,
     worker_listen_handle,
 )
 from repro.runtime.dispatcher import EventDispatcher
@@ -94,9 +93,7 @@ from repro.runtime.server import ReactorServer, RuntimeConfig
 from repro.runtime.sharding import (
     ConnectionHashPolicy,
     LeastConnectionsPolicy,
-    ReactorShard,
     RoundRobinPolicy,
-    ShardedReactorServer,
     ShardPolicy,
     make_shard_policy,
 )
@@ -167,7 +164,6 @@ __all__ = [
     "QueueEventSource",
     "QuotaPriorityQueue",
     "ReactorServer",
-    "ReactorShard",
     "ReadableEvent",
     "RetryBudget",
     "RoundRobinPolicy",
@@ -177,7 +173,6 @@ __all__ = [
     "ServerLog",
     "ServerProfile",
     "ShardPolicy",
-    "ShardedReactorServer",
     "ShedDecision",
     "SheddingPolicy",
     "ShutdownEvent",
@@ -204,7 +199,6 @@ __all__ = [
     "is_transient_accept_error",
     "make_poller",
     "make_shard_policy",
-    "reactor_worker",
     "reject_handle",
     "rejection_response",
     "segment_bytes",

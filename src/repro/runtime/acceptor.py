@@ -15,8 +15,6 @@ import socket
 import time
 from typing import Callable, Optional
 
-from repro.obs.flight import GLOBAL as GLOBAL_FLIGHT
-from repro.runtime.degradation import reject_handle
 from repro.runtime.event_source import SocketEventSource
 from repro.runtime.events import AcceptEvent
 from repro.runtime.handles import ListenHandle, SocketHandle
@@ -30,10 +28,10 @@ __all__ = ["Acceptor", "Connector"]
 class Acceptor:
     """Accept-side half of the Acceptor-Connector pattern.
 
-    ``on_connection(handle)`` is the generated framework's hook: it
-    builds the Communicator for the new connection.  The Acceptor keeps
-    accepting in a loop per AcceptEvent (a single readiness notification
-    may cover several queued connections).
+    ``on_connection(handle)`` builds the Communicator for the new
+    connection; the Acceptor then registers the handle with the Event
+    Source.  It keeps accepting in a loop per AcceptEvent (a single
+    readiness notification may cover several queued connections).
     """
 
     def __init__(
@@ -45,43 +43,16 @@ class Acceptor:
         profiler=NULL_PROFILER,
         clock=time.monotonic,
         backoff: float = 0.05,
-        register_accepted: bool = True,
-        flight=None,
-        shedding=None,
-        accept_batch: Optional[int] = None,
     ):
         self.listen = listen
         self.source = source
         self.on_connection = on_connection
         self.overload = overload
-        #: O17 :class:`~repro.runtime.degradation.SheddingPolicy` — when
-        #: set, overload produces explicit decisions (cheap 503 + close)
-        #: and every accepted peer passes the per-client rate limit;
-        #: when None the paper's silent-postpone behaviour is unchanged.
-        self.shedding = shedding
         self.profiler = profiler
-        #: lifecycle-event ring; always on (defaults to the process-wide
-        #: recorder when the owning server did not pass its own).  The
-        #: listen handle records the accept events itself (so generated
-        #: accept loops get them too) — point it at the same ring.
-        self.flight = flight if flight is not None else GLOBAL_FLIGHT
-        listen.flight = self.flight
         self.clock = clock
         self.backoff = backoff
-        #: when False the ``on_connection`` callback owns registration —
-        #: a sharded accept plane hands the handle to a shard's own
-        #: Event Source instead of the acceptor's.
-        self.register_accepted = register_accepted
-        #: bound on accepts per AcceptEvent (None = drain to EAGAIN).
-        #: Hitting the bound re-posts the listen handle via the event
-        #: source's ``force_ready`` so the rest of the backlog is picked
-        #: up next tick — required under edge-triggered backends, where
-        #: an un-drained backlog produces no further notifications.
-        self.accept_batch = accept_batch
         self.accepted = 0
         self.postponed = 0
-        self.rebatched = 0
-        self.rejected = 0
         self.accept_errors = 0
 
     def open(self) -> None:
@@ -89,30 +60,16 @@ class Acceptor:
         self.source.register(self.listen)
 
     def handle(self, event: AcceptEvent) -> None:
-        """Drain the kernel accept queue (subject to overload control),
-        taking at most :attr:`accept_batch` connections per event."""
-        taken = 0
+        """Drain the kernel accept queue, subject to overload control."""
         while True:
-            if self.accept_batch is not None and taken >= self.accept_batch:
-                self.rebatched += 1
-                self._repost()
-                return
-            decision = None
-            if self.shedding is not None:
-                decision = self.shedding.admit_accept()
-                if decision.action == "postpone":
-                    # Explicitly chosen postpone (on_overload="postpone"):
-                    # the policy already recorded the reason.
-                    self.postponed += 1
-                    self._repost()
-                    return
-            elif self.overload is not None and not self.overload.accepting():
+            if self.overload is not None and not self.overload.accepting():
                 # Postpone: leave remaining connections in the kernel
                 # backlog; they will surface as another AcceptEvent —
                 # level-triggered backends re-report them per poll,
                 # edge-triggered ones need the explicit re-post.
                 self.postponed += 1
-                self.flight.record("shed", "accept postponed: overloaded")
+                self.listen.flight.record("shed",
+                                          "accept postponed: overloaded")
                 self._repost()
                 return
             try:
@@ -133,29 +90,13 @@ class Acceptor:
                 return
             if handle is None:
                 return
-            if decision is not None and not decision.admitted:
-                # Overload reject: keep draining the backlog, answering
-                # each waiting client with the cheap canned payload
-                # instead of stranding it (the policy's whole point).
-                self._reject(handle, decision)
-                continue
-            if self.shedding is not None:
-                client = handle.name.rsplit(":", 1)[0]
-                limited = self.shedding.admit_client(
-                    client, getattr(handle, "trace_id", 0))
-                if not limited.admitted:
-                    # admit_client recorded the shed already
-                    self._reject(handle, limited, record=False)
-                    continue
             handle.last_activity = self.clock()
-            taken += 1
             self.accepted += 1
             self.profiler.connection_accepted()
             if self.overload is not None:
                 self.overload.connection_opened()
             self.on_connection(handle)
-            if self.register_accepted:
-                self.source.register(handle)
+            self.source.register(handle)
 
     def _repost(self) -> None:
         """Re-post the listen handle when leaving backlog behind on an
@@ -163,23 +104,9 @@ class Acceptor:
         if getattr(self.source, "edge_triggered", False):
             self.source.force_ready(self.listen)
 
-    def _reject(self, handle: SocketHandle, decision, record: bool = True) -> None:
-        """Cheap write-path rejection: canned payload, flush, close.
-
-        No Communicator is built, no handler runs, nothing touches disk —
-        the accepted socket only ever sees the preformatted bytes (empty
-        payload means reject-by-close for payload-less protocols).
-        """
-        self.rejected += 1
-        if record:
-            self.shedding.record_rejection(
-                decision, f"client={handle.name}",
-                getattr(handle, "trace_id", 0))
-        reject_handle(handle, self.shedding.reject_payload)
-
     def close(self) -> None:
         """Deregister and close the listen handle (idempotent)."""
-        if self.listen.closed:  # drain() closes first; stop() closes again
+        if self.listen.closed:
             return
         self.source.deregister(self.listen)
         self.listen.close()

@@ -134,14 +134,12 @@ class Communicator:
         spans=NULL_SPANS,
         clock=time.monotonic,
         buffer_pool=None,
-        flight=None,
     ):
         self.handle = handle
         self.hooks = hooks
         self.use_codec = use_codec
-        #: always-on lifecycle-event ring (per-shard when the owning
-        #: server passed its own; the process-wide recorder otherwise)
-        self.flight = flight if flight is not None else GLOBAL_FLIGHT
+        #: always-on lifecycle-event ring (the process-wide recorder)
+        self.flight = GLOBAL_FLIGHT
         #: header BufferPool of the zero-copy write path (None = the
         #: copying path; encode hooks key segment emission off this)
         self.buffer_pool = buffer_pool
@@ -474,10 +472,15 @@ class Communicator:
             return self._awaiting[0].started if self._awaiting else None
 
     def busy(self) -> bool:
-        """True while work is still owed: an in-flight request or
-        unflushed reply bytes (read by the graceful-drain loop)."""
+        """True while work is still owed: an in-flight request, a reply
+        being delivered, or unflushed reply bytes (read by the
+        graceful-drain loop).  A delivery counts until its flush and
+        its ``write-complete`` flight record are done — the send hands
+        the last bytes to the kernel (and the client may already act on
+        them) before that record exists, so a drain that returns True
+        guarantees the evidence is on the ring."""
         with self._ticket_lock:
-            if self._awaiting:
+            if self._awaiting or self._draining:
                 return True
         return bool(self.handle.out_buffer) and not self.closed
 

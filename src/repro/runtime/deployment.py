@@ -41,12 +41,9 @@ accepting from one shared listening socket:
   (:func:`repro.obs.tracing.next_trace_id`), so evidence from
   different workers never collides.
 
-The generated frameworks reach this module through two factories:
+Generated frameworks reach this module through one factory:
 :func:`generated_worker` rebuilds a generated package's ``Worker``
-inside the child process from the :func:`generated_worker_args` spec,
-and :func:`reactor_worker` does the same for the hand-wired
-:class:`~repro.runtime.server.ReactorServer` (the codegen-free path
-tests use).
+inside the child process from the :func:`generated_worker_args` spec.
 """
 
 from __future__ import annotations
@@ -64,7 +61,7 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.lint.locks import access, make_lock, shared
-from repro.obs.exposition import clustered_status_fields, status_fields
+from repro.obs.exposition import clustered_status_fields
 
 __all__ = [
     "STATS_SOCKET_ENV",
@@ -74,7 +71,6 @@ __all__ = [
     "generated_worker",
     "generated_worker_args",
     "in_worker_process",
-    "reactor_worker",
     "worker_listen_handle",
 ]
 
@@ -762,54 +758,6 @@ def cluster_status_fields(timeout: float = 5.0) -> Optional[list]:
 
 
 # -- worker factories ---------------------------------------------------------
-
-
-class _ReactorWorker:
-    """Adapter giving a :class:`ReactorServer` the worker surface
-    (``status_fields`` over its registry, pass-through lifecycle)."""
-
-    def __init__(self, server):
-        self.server = server
-
-    @property
-    def port(self) -> int:
-        """The adopted (shared) socket's port."""
-        return self.server.port
-
-    def start(self) -> None:
-        """Start the wrapped reactor."""
-        self.server.start()
-
-    def stop(self) -> None:
-        """Stop the wrapped reactor."""
-        self.server.stop()
-
-    def drain(self, timeout: Optional[float] = None) -> bool:
-        """Graceful drain of the wrapped reactor."""
-        return self.server.drain(timeout)
-
-    def status_fields(self) -> list:
-        """This worker's O11 registry as status-field pairs."""
-        if self.server.sampler is not None:
-            self.server.sampler.sample()
-        return status_fields(self.server.registry)
-
-
-def reactor_worker(args: dict, listen_sock) -> _ReactorWorker:
-    """Worker factory over the hand-wired ReactorServer (no codegen).
-
-    ``args``: ``hooks`` (a ``"module:attr"`` path to a no-argument
-    hooks callable), optional ``config`` (RuntimeConfig field dict),
-    optional ``host``/``port``.
-    """
-    from repro.runtime.server import ReactorServer, RuntimeConfig
-    hooks = _resolve(args["hooks"])()
-    config = RuntimeConfig(**(args.get("config") or {}))
-    server = ReactorServer(hooks, config,
-                           host=args.get("host", "127.0.0.1"),
-                           port=int(args.get("port") or 0),
-                           listen_sock=listen_sock)
-    return _ReactorWorker(server)
 
 
 def generated_worker(args: dict, listen_sock):

@@ -199,16 +199,18 @@ class SocketEventSource(EventSource):
         threads never run the same connection concurrently.
         """
         with self._lock:
+            if not self._owns(handle):
+                return  # a stale id left in _paused could mute a new handle
             self._paused.add(id(handle))
-        self._apply_mask(handle)
+            self._apply_mask(handle)
 
     def resume(self, handle: SocketHandle) -> None:
         """Re-arm readability after the processor finished the event."""
         with self._lock:
+            if not self._owns(handle):
+                return  # closed meanwhile; its fd may be a new handle's
             self._paused.discard(id(handle))
-        if handle.closed:
-            return
-        self._apply_mask(handle)
+            self._apply_mask(handle)
         self.wakeup()
 
     def force_ready(self, handle: Handle) -> None:
@@ -219,7 +221,7 @@ class SocketEventSource(EventSource):
         whatever the kernel says.  Used by the Acceptor when it stops a
         batched drain early, and safe under both backends."""
         with self._lock:
-            if handle.fileno() not in self._handles:
+            if not self._owns(handle):
                 return
             if id(handle) not in self._forced_ids:
                 self._forced_ids.add(id(handle))
@@ -233,15 +235,21 @@ class SocketEventSource(EventSource):
         write = WRITE if handle.wants_write else 0
         return read | write
 
+    def _owns(self, handle: Handle) -> bool:
+        """Is ``handle`` the one registered on its fd?  (Caller holds
+        the lock.)  A thread still holding a closed handle must not act
+        on the fd: the kernel may already have reused the number for a
+        new connection, and re-pointing the poller at the dead handle
+        would leave the new one unread."""
+        return self._handles.get(handle.fileno()) is handle
+
     def _apply_mask(self, handle: SocketHandle) -> None:
-        if handle.closed:
-            return
         with self._lock:
-            fd = handle.fileno()
-            if fd not in self._handles:
-                return  # deregistered entirely
+            if handle.closed or not self._owns(handle):
+                return
             try:
-                self._poller.modify(fd, self._mask(handle), handle)
+                self._poller.modify(handle.fileno(), self._mask(handle),
+                                    handle)
             except (KeyError, ValueError, OSError):
                 pass
 
@@ -270,9 +278,9 @@ class SocketEventSource(EventSource):
         with self._lock:
             forced, self._forced = self._forced, deque()
             self._forced_ids.clear()
-        for handle in forced:
-            if handle.fileno() in self._handles:
-                self._append_events(ready, handle, READ)
+            for handle in forced:
+                if self._owns(handle):
+                    self._append_events(ready, handle, READ)
         return ready
 
     def _append_events(self, ready: List[Event], handle: Handle,

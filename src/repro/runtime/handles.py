@@ -38,7 +38,7 @@ class Handle:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "closed" if self._closed else "open"
-        return f"<{type(self).__name__} {self.name or id(self):x} {state}>"
+        return f"<{type(self).__name__} {self.name or hex(id(self))} {state}>"
 
 
 class SocketHandle(Handle):

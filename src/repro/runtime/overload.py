@@ -16,7 +16,7 @@ Acceptor asks :meth:`accepting` before taking new connections.
 
 All mutable state lives behind one tracked lock: ``accepting()`` runs on
 the dispatcher thread, ``connection_opened``/``connection_closed`` on
-acceptor and teardown paths, ``status()`` on the O11 sampler thread, and
+acceptor and teardown paths, ``status()`` on the O11 sampler tick, and
 the O17 :class:`~repro.runtime.degradation.AdaptiveController` retunes
 watermarks from its own control loop — the lockset annotations let the
 race detector prove they never collide.
@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 from repro.lint.locks import access, make_lock, shared
+from repro.obs.flight import GLOBAL as GLOBAL_FLIGHT
 
 __all__ = ["Watermark", "OverloadController"]
 
@@ -67,11 +68,12 @@ class OverloadController:
         self.open_connections = 0
         #: accounting for the experiment harness
         self.postponed_accepts = 0
-        #: flight recorder receiving trip/clear transitions and the
-        #: sustained-overload dump (None disables both)
+        #: flight recorder receiving trip/clear transitions (None
+        #: disables them)
         self.flight = flight
-        #: consecutive postponed accepts that trigger one flight-ring
-        #: snapshot (evidence of *why* hits disk during the storm);
+        #: consecutive postponed accepts that trigger one snapshot of
+        #: :attr:`flight` — or of the process-wide recorder when that is
+        #: None — so evidence of *why* hits disk during the storm;
         #: None disables the dump
         self.trip_dump_after = trip_dump_after
         self._postponed_streak = 0
@@ -147,13 +149,14 @@ class OverloadController:
         access(self, "_postponed_streak")
         self._postponed_streak += 1
         if (self.trip_dump_after is not None
-                and self.flight is not None
                 and not self._trip_dumped
                 and self._postponed_streak >= self.trip_dump_after):
             self._trip_dumped = True
             import threading
 
-            def _dump(flight=self.flight):
+            flight = self.flight if self.flight is not None else GLOBAL_FLIGHT
+
+            def _dump(flight=flight):
                 try:
                     flight.snapshot("sustained-overload")
                 except OSError:  # pragma: no cover - disk trouble

@@ -1,49 +1,30 @@
-"""A hand-wired, runtime-configured server assembly.
+"""A hand-wired, runtime-configured server assembly: the static baseline.
 
 This is the *static framework* alternative the paper argues against in
 section III: one framework supporting every option through runtime
 checks ("executing if or case statements to check which features are
-enabled, as opposed to using conditional compilation flags").  It exists
-here for three reasons:
+enabled, as opposed to using conditional compilation flags").  It
+covers exactly the twelve Table-1 options and exists as the baseline
+of the generated-vs-static ablation bench
+(``benchmarks/bench_ablation_generated_vs_static.py``).  Every plane
+beyond Table 1 (O13-O18) exists only in generated frameworks.
 
-1. it is a convenient library-level API for users who don't want codegen;
-2. it is the reference implementation the *generated* frameworks are
-   differentially tested against (same hooks, same behaviour);
-3. it is the baseline for the generated-vs-static ablation bench.
-
-The :class:`RuntimeConfig` fields correspond one-to-one to the twelve
-Table-1 options.
+The :class:`RuntimeConfig` fields are the twelve Table-1 option flags
+plus the parameters those options read.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.cache import FileCache
-from repro.obs.flight import FlightRecorder, install_signal_dump
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
-from repro.obs.tracing import JsonlExporter, RingExporter, render_trace_report
-from repro.runtime.buffers import BufferPool, OutBuffer
-from repro.obs.sampler import PeriodicSampler
 from repro.obs.spans import NULL_SPANS, SpanRecorder
 from repro.runtime.acceptor import Acceptor
 from repro.runtime.communicator import Communicator, ServerHooks
 from repro.runtime.container import Container
-from repro.runtime.degradation import (
-    REASON_QUEUE_DEADLINE,
-    AdaptiveController,
-    BrownoutController,
-    CircuitBreaker,
-    ClientRateLimiter,
-    RetryBudget,
-    ShedDecision,
-    SheddingPolicy,
-    SojournQueue,
-    rejection_response,
-)
 from repro.runtime.dispatcher import EventDispatcher
 from repro.runtime.event_source import (
     QueueEventSource,
@@ -57,12 +38,6 @@ from repro.runtime.idle import IdleConnectionReaper
 from repro.runtime.overload import OverloadController, Watermark
 from repro.runtime.processor import EventProcessor, ProcessorController
 from repro.runtime.profiling import NULL_PROFILER, Profiler
-from repro.runtime.resilience import (
-    DeadlineMonitor,
-    DeadlinePolicy,
-    EventQuarantine,
-    WorkerSupervisor,
-)
 from repro.runtime.scheduler import FifoEventQueue, QuotaPriorityQueue
 from repro.runtime.tracing import NULL_LOG, NULL_TRACER, EventTracer, ServerLog
 
@@ -91,52 +66,13 @@ class RuntimeConfig:
     debug_mode: bool = False                    # O10
     profiling: bool = False                     # O11
     logging: bool = False                       # O12
-    sample_interval: float = 1.0                # O11 gauge-sampler period
-    trace_ring_capacity: int = 256              # O11 span-exporter ring
-    trace_export_path: Optional[str] = None     # O11: JSONL span export
-    flight_capacity: int = 4096                 # always-on lifecycle ring
-    flight_dump_dir: Optional[str] = None       # where crash dumps land
-    fault_tolerance: bool = False               # O13
-    degradation: bool = False                   # O17
-    shed_rate: float = 100.0                    # O17 per-client tokens/sec
-    shed_burst: float = 20.0                    # O17 per-client burst
-    shed_max_clients: int = 1024                # O17 rate-limiter LRU bound
-    shed_retry_after: float = 1.0               # O17 Retry-After seconds
-    shed_on_overload: str = "reject"            # O17: "reject"/"postpone"
-    shed_classes: dict = field(default_factory=dict)  # O17 class -> priority
-    shed_priority_floor: int = 1                # O17 shed classes below this
-    sojourn_deadline: Optional[float] = None    # O17 CoDel queue deadline
-    sojourn_interval: float = 0.1               # O17 CoDel interval
-    breaker_failures: int = 5                   # O17 file-I/O breaker trip
-    breaker_recovery: float = 5.0               # O17 breaker open time
-    breaker_probes: int = 1                     # O17 half-open probe quota
-    retry_budget_ratio: float = 0.1             # O17 retries per request
-    brownout_stale_threshold: float = 0.25      # O17 serve-stale level
-    brownout_bound_threshold: float = 0.5       # O17 response-cap level
-    brownout_max_response: int = 64 * 1024      # O17 base response cap
-    adaptive_control: bool = False              # O17 AIMD watermark tuning
-    adaptive_target_p99: float = 0.25           # O17 p99 target (seconds)
-    adaptive_interval: float = 1.0              # O17 control-loop period
-    overload_dump_after: Optional[int] = None   # O17 flight dump on streak
-    write_path: str = "buffered"                # O15: "buffered"/"zerocopy"
-    buffer_size_classes: tuple = (1024, 4096, 16384, 65536)
-    buffer_pool_limit: int = 64                 # free buffers kept per class
-    poller: Optional[str] = None                # O18: "select"/"epoll"/None=auto
-    accept_batch: Optional[int] = 64            # accepts per AcceptEvent
-    header_timeout: float = 5.0
-    request_timeout: float = 30.0
-    write_timeout: float = 30.0
-    drain_timeout: float = 5.0
-    max_event_retries: int = 2
-    deadline_interval: float = 0.1
-    supervision_interval: float = 0.05
     processor_threads: int = 2
     file_io_threads: int = 2
     document_root: Optional[str] = None
 
 
 class ReactorServer:
-    """Assembles the full N-Server runtime from a :class:`RuntimeConfig`.
+    """Assembles the N-Server runtime from a :class:`RuntimeConfig`.
 
     Usage::
 
@@ -147,29 +83,13 @@ class ReactorServer:
     """
 
     def __init__(self, hooks: ServerHooks, config: RuntimeConfig,
-                 host: str = "127.0.0.1", port: int = 0,
-                 handle_cls: Optional[type] = None,
-                 listen_sock=None):
+                 host: str = "127.0.0.1", port: int = 0):
         self.hooks = hooks
         self.config = config
         self.host = host
-        #: SocketHandle subclass wrapping accepted sockets (the fault
-        #: plane injects its faulty handles here)
-        self.handle_cls = handle_cls
-        #: already-bound listening socket to adopt instead of binding
-        #: (the O16 multi-process path: each worker process receives
-        #: the supervisor's shared SO_REUSEPORT socket over fd passing)
-        self.listen_sock = listen_sock
         self._requested_port = port
         self._started = False
         self._lock = threading.Lock()
-
-        # Always-on flight recorder: lifecycle events for this server's
-        # connections land here (a shard renames its own in
-        # ReactorShard); no option gates it.
-        self.flight = FlightRecorder(capacity=config.flight_capacity,
-                                     name="reactor",
-                                     dump_dir=config.flight_dump_dir)
 
         # O11 / O10 / O12 feature objects (null objects when disabled).
         self.tracer = EventTracer() if config.debug_mode else NULL_TRACER
@@ -177,16 +97,8 @@ class ReactorServer:
         self.registry = MetricsRegistry() if config.profiling else NULL_REGISTRY
         self.profiler = (Profiler(registry=self.registry)
                          if config.profiling else NULL_PROFILER)
-        # O11: finished request spans stream to an exporter — a JSONL
-        # file when configured, the in-memory ring otherwise.
-        self.exporter = None
-        if config.profiling:
-            self.exporter = (JsonlExporter(config.trace_export_path)
-                             if config.trace_export_path
-                             else RingExporter(config.trace_ring_capacity))
         self.spans = (SpanRecorder(self.registry,
-                                   tracer=self.tracer if config.debug_mode else None,
-                                   exporter=self.exporter)
+                                   tracer=self.tracer if config.debug_mode else None)
                       if config.profiling else NULL_SPANS)
 
         # O6: file cache.
@@ -202,23 +114,8 @@ class ReactorServer:
             if config.profiling:
                 self.profiler.attach_cache(self.cache.stats)
 
-        # O15: zero-copy write path — a shared header BufferPool plus a
-        # segmented OutBuffer per connection (installed in
-        # _make_communicator).  "buffered" keeps the copying path.
-        self.buffer_pool: Optional[BufferPool] = None
-        if config.write_path == "zerocopy":
-            self.buffer_pool = BufferPool(
-                classes=config.buffer_size_classes,
-                per_class=config.buffer_pool_limit)
-        elif config.write_path != "buffered":
-            raise ValueError(
-                f"write_path must be 'buffered' or 'zerocopy', "
-                f"not {config.write_path!r}")
-
         # Event source chain (Decorator): sockets -> timers -> app queue.
-        # The socket base rides the configured Poller backend (O18):
-        # explicit name, else $REPRO_POLLER, else the platform's best.
-        self.socket_source = SocketEventSource(poller=config.poller)
+        self.socket_source = SocketEventSource()
         self.timer_source = TimerEventSource(self.socket_source)
         self.app_source = QueueEventSource(self.timer_source)
         self.source = self.app_source
@@ -230,19 +127,6 @@ class ReactorServer:
             queue = QuotaPriorityQueue(config.scheduling_quotas or {})
         else:
             queue = FifoEventQueue()
-
-        # O17: CoDel-style sojourn-deadline drops on the reactive queue.
-        # Only READABLE events are sheddable: completions carry replies
-        # already owed and retire pills are control flow.
-        if config.degradation and config.sojourn_deadline is not None:
-            queue = SojournQueue(
-                queue,
-                deadline=config.sojourn_deadline,
-                interval=config.sojourn_interval,
-                on_drop=self._on_sojourn_drop,
-                droppable=lambda e: getattr(e, "kind", None)
-                == EventKind.READABLE,
-            )
 
         # O2/O5: the reactive Event Processor (or inline handling).
         self.processor: Optional[EventProcessor] = None
@@ -265,9 +149,7 @@ class ReactorServer:
         self.overload: Optional[OverloadController] = None
         if config.overload_control or config.max_connections is not None:
             self.overload = OverloadController(
-                max_connections=config.max_connections,
-                flight=self.flight,
-                trip_dump_after=config.overload_dump_after)
+                max_connections=config.max_connections)
             if config.overload_control and self.processor is not None:
                 self.overload.watch(
                     "reactive",
@@ -275,41 +157,6 @@ class ReactorServer:
                     mark=Watermark(high=config.overload_high,
                                    low=config.overload_low),
                 )
-
-        # O17: the graceful-degradation plane — explicit prioritized
-        # shedding, brownout for content hooks, circuit-broken file I/O
-        # and (optionally) AIMD watermark control.
-        self.shedding: Optional[SheddingPolicy] = None
-        self.brownout: Optional[BrownoutController] = None
-        self.breaker: Optional[CircuitBreaker] = None
-        self.retry_budget: Optional[RetryBudget] = None
-        self.adaptive: Optional[AdaptiveController] = None
-        self._reject_payload = b""
-        if config.degradation:
-            self._reject_payload = rejection_response(config.shed_retry_after)
-            self.shedding = SheddingPolicy(
-                overload=self.overload,
-                limiter=ClientRateLimiter(
-                    rate=config.shed_rate,
-                    burst=config.shed_burst,
-                    max_clients=config.shed_max_clients),
-                classes=dict(config.shed_classes),
-                priority_floor=config.shed_priority_floor,
-                retry_after=config.shed_retry_after,
-                reject_payload=self._reject_payload,
-                on_overload=config.shed_on_overload,
-                flight=self.flight,
-            )
-            self.brownout = BrownoutController(
-                stale_threshold=config.brownout_stale_threshold,
-                bound_threshold=config.brownout_bound_threshold,
-                max_response_bytes=config.brownout_max_response)
-            self.breaker = CircuitBreaker(
-                name="file-io",
-                failure_threshold=config.breaker_failures,
-                recovery_time=config.breaker_recovery,
-                probe_quota=config.breaker_probes)
-            self.retry_budget = RetryBudget(ratio=config.retry_budget_ratio)
 
         # O4: asynchronous completions (emulated non-blocking file I/O).
         self.file_io: Optional[AsyncFileIO] = None
@@ -321,8 +168,6 @@ class ReactorServer:
                 threads=config.file_io_threads,
                 cache=self.cache,
                 root=config.document_root,
-                breaker=self.breaker,
-                retry_budget=self.retry_budget,
             )
 
         # O7: idle-connection reaper.
@@ -332,122 +177,6 @@ class ReactorServer:
                 idle_limit=config.idle_limit,
                 on_idle=self._reap_connection,
             )
-
-        # O11: periodic gauge sampler over the subsystems wired above.
-        self.sampler: Optional[PeriodicSampler] = None
-        if config.profiling:
-            sampler = PeriodicSampler(self.registry,
-                                      interval=config.sample_interval)
-            sampler.add_probe(
-                "server_open_connections",
-                lambda: len(self.container),
-                help="Currently open connections")
-            if self.processor is not None:
-                sampler.add_probe(
-                    "server_queue_depth",
-                    lambda: self.processor.queue_length,
-                    help="Reactive Event Processor queue length")
-                sampler.add_probe(
-                    "server_pool_threads",
-                    lambda: self.processor.thread_count,
-                    help="Event Processor pool size")
-                sampler.add_probe(
-                    "server_pool_busy",
-                    lambda: self.processor.busy_count,
-                    help="Event Processor threads currently handling events")
-            if self.overload is not None:
-                sampler.add_probe(
-                    "server_overload_tripped",
-                    lambda: len(self.overload.overloaded_queues()),
-                    help="Watermark queues currently in the tripped state")
-                sampler.add_probe(
-                    "server_postponed_accepts",
-                    lambda: self.overload.postponed_accepts,
-                    help="Accepts postponed by overload control")
-            if self.cache is not None:
-                sampler.add_probe(
-                    "server_cache_hit_rate",
-                    lambda: self.cache.stats.hit_rate,
-                    help="File cache hit rate (0..1)")
-            if self.buffer_pool is not None:
-                sampler.add_probe(
-                    "server_buffer_pool_hit_rate",
-                    lambda: self.buffer_pool.stats.hit_rate,
-                    help="Header buffer pool hit rate (0..1)")
-            sampler.add_probe(
-                "server_read_pool_hit_rate",
-                lambda: self.socket_source.read_pool.stats.hit_rate,
-                help="Pooled recv_into buffer hit rate (0..1)")
-            if self.shedding is not None:
-                sampler.add_probe(
-                    "server_shed_total",
-                    lambda: self.shedding.shed_total,
-                    help="Requests/connections shed by the O17 policy")
-            if self.brownout is not None:
-                sampler.add_probe(
-                    "server_brownout_level",
-                    lambda: self.brownout.level,
-                    help="Brownout degradation level (0..1)")
-            if self.breaker is not None:
-                sampler.add_probe(
-                    "server_breaker_open",
-                    lambda: 0.0 if self.breaker.state == CircuitBreaker.CLOSED
-                    else 1.0,
-                    help="File-I/O circuit breaker not closed (0/1)")
-            self.sampler = sampler
-
-        # O17: AIMD control loop retuning the O9 watermarks (and the
-        # brownout level) from the O11 p99 latency signal.
-        if (config.degradation and config.adaptive_control
-                and self.overload is not None):
-            self.adaptive = AdaptiveController(
-                self.overload,
-                queue_name="reactive",
-                latency_probe=lambda: self.registry.histogram(
-                    "server_request_seconds").quantile(0.99),
-                brownout=self.brownout,
-                target_p99=config.adaptive_target_p99,
-                interval=config.adaptive_interval,
-                log=self.log,
-            )
-
-        # O13: resilience runtime — per-stage deadlines, worker
-        # supervision, poison-event quarantine.  Counters land in the
-        # shared registry so they surface through the obs exposition.
-        self.deadlines: Optional[DeadlineMonitor] = None
-        self.supervisor: Optional[WorkerSupervisor] = None
-        self.quarantine: Optional[EventQuarantine] = None
-        if config.fault_tolerance:
-            self.deadlines = DeadlineMonitor(
-                self.container.connections,
-                DeadlinePolicy(header=config.header_timeout,
-                               request=config.request_timeout,
-                               write=config.write_timeout),
-                interval=config.deadline_interval,
-                counter=self.registry.counter(
-                    "server_deadline_timeouts_total",
-                    "Connections closed for blowing a stage deadline"),
-                log=self.log,
-            )
-            if self.processor is not None:
-                self.supervisor = WorkerSupervisor(
-                    self.processor,
-                    interval=config.supervision_interval,
-                    counter=self.registry.counter(
-                        "server_worker_restarts_total",
-                        "Dead Event Processor workers replaced"),
-                    log=self.log,
-                    flight=self.flight,
-                )
-                self.quarantine = EventQuarantine.attach(
-                    self.processor,
-                    max_retries=config.max_event_retries,
-                    counter=self.registry.counter(
-                        "server_quarantined_events_total",
-                        "Poison events quarantined after retries"),
-                    log=self.log,
-                    flight=self.flight,
-                )
 
         self.listen: Optional[ListenHandle] = None
         self.acceptor: Optional[Acceptor] = None
@@ -465,11 +194,6 @@ class ReactorServer:
         return self.listen.port
 
     def _make_communicator(self, handle) -> Communicator:
-        # The segmented out-buffer must be in place before construction:
-        # hooks.on_connect runs inside Communicator.__init__ and may
-        # already queue output (e.g. a server greeting).
-        if self.buffer_pool is not None:
-            handle.out_buffer = OutBuffer()
         conn = Communicator(
             handle,
             self.hooks,
@@ -480,15 +204,11 @@ class ReactorServer:
             tracer=self.tracer,
             log=self.log,
             spans=self.spans,
-            buffer_pool=self.buffer_pool,
-            flight=self.flight,
         )
         conn.context["server"] = self
         self.container.add(conn)
         if self.reaper is not None:
             self.reaper.watch(handle)
-        if self.deadlines is not None:
-            self.deadlines.watch(conn)
         return conn
 
     def _update_interest(self, handle) -> None:
@@ -500,8 +220,6 @@ class ReactorServer:
         self.socket_source.deregister(conn.handle)
         if self.reaper is not None:
             self.reaper.unwatch(conn.handle)
-        if self.deadlines is not None:
-            self.deadlines.unwatch(conn)
         if self.overload is not None:
             self.overload.connection_closed()
 
@@ -509,25 +227,6 @@ class ReactorServer:
         conn = self.container.lookup(handle)
         if conn is not None:
             self.log.info(f"reaping idle connection {handle.name}")
-            conn.close()
-
-    def _on_sojourn_drop(self, event, sojourn: float) -> None:
-        """A queued event blew its sojourn deadline (O17): instead of
-        serving it uselessly late, 503 the victim connection and close.
-        Runs on the Event Processor worker that popped the stale item."""
-        handle = getattr(event, "handle", None)
-        trace_id = getattr(handle, "trace_id", 0) if handle is not None else 0
-        if self.shedding is not None:
-            self.shedding.record_rejection(
-                ShedDecision("reject", REASON_QUEUE_DEADLINE,
-                             self.config.shed_retry_after),
-                f"sojourn={sojourn:.3f}s", trace_id)
-        conn = self.container.lookup(handle) if handle is not None else None
-        if conn is None:
-            return
-        if self._reject_payload:
-            conn.send_bytes(self._reject_payload, close_after=True)
-        else:
             conn.close()
 
     # -- event processing -------------------------------------------------
@@ -565,39 +264,19 @@ class ReactorServer:
             if self._started:
                 return
             self._started = True
-        # Best effort: SIGUSR2 dumps every live flight recorder.  A
-        # no-op off the main thread or on platforms without the signal.
-        install_signal_dump()
-        self._open_acceptor()
-        self.dispatcher.route(EventKind.READABLE, self._submit)
-        self.dispatcher.route(EventKind.WRITABLE, self._submit)
-        self.dispatcher.route(EventKind.COMPLETION, self._submit)
-        self._start_subsystems()
-        self.dispatcher.start()
-        if self.listen is not None:
-            self.log.info(f"server listening on {self.host}:{self.port}")
-
-    def _open_acceptor(self) -> None:
-        """Bind the listen socket and wire ACCEPT routing.  A shard in a
-        :class:`~repro.runtime.sharding.ShardedReactorServer` overrides
-        this to a no-op: the shared accept plane feeds it connections."""
-        self.listen = ListenHandle(self.host, self._requested_port,
-                                   handle_cls=self.handle_cls,
-                                   sock=self.listen_sock)
+        self.listen = ListenHandle(self.host, self._requested_port)
         self.acceptor = Acceptor(
             self.listen,
             self.socket_source,
             on_connection=self._make_communicator,
             overload=self.overload,
             profiler=self.profiler,
-            flight=self.flight,
-            shedding=self.shedding,
-            accept_batch=self.config.accept_batch,
         )
         self.dispatcher.route(EventKind.ACCEPT, self.acceptor.handle)
         self.acceptor.open()
-
-    def _start_subsystems(self) -> None:
+        self.dispatcher.route(EventKind.READABLE, self._submit)
+        self.dispatcher.route(EventKind.WRITABLE, self._submit)
+        self.dispatcher.route(EventKind.COMPLETION, self._submit)
         if self.processor is not None:
             self.processor.start()
         if self.controller is not None:
@@ -606,113 +285,29 @@ class ReactorServer:
             self.file_io.start()
         if self.reaper is not None:
             self.reaper.start()
-        if self.deadlines is not None:
-            self.deadlines.start()
-        if self.supervisor is not None:
-            self.supervisor.start()
-        if self.sampler is not None:
-            self.sampler.start()
-        if self.adaptive is not None:
-            self.adaptive.start()
+        self.dispatcher.start()
+        self.log.info(f"server listening on {self.host}:{self.port}")
 
     def stop(self) -> None:
         with self._lock:
             if not self._started:
                 return
             self._started = False
-        if self.adaptive is not None:
-            self.adaptive.stop()
         self.dispatcher.stop()
         if self.acceptor is not None:
             self.acceptor.close()
         self.container.close_all()
         if self.controller is not None:
             self.controller.stop()
-        if self.supervisor is not None:
-            self.supervisor.stop()  # before the pool: no respawn race
-        if self.deadlines is not None:
-            self.deadlines.stop()
         if self.processor is not None:
             self.processor.stop()
         if self.file_io is not None:
             self.file_io.stop()
         if self.reaper is not None:
             self.reaper.stop()
-        if self.sampler is not None:
-            self.sampler.sample()  # final state snapshot before threads die
-            self.sampler.stop()
         self.source.close()
         self.tracer.close()
-        if self.exporter is not None:
-            self.exporter.close()
         self.log.info("server stopped")
-
-    def drain(self, timeout: Optional[float] = None) -> bool:
-        """Graceful shutdown: stop accepting, let already-accepted work
-        finish up to the deadline, then :meth:`stop` (which force-closes
-        whatever remains and flushes tracer/obs state).
-
-        Returns True when the server went fully quiescent before the
-        deadline — no queued events, no busy workers, no connection with
-        an in-flight request or unflushed reply.
-        """
-        timeout = timeout if timeout is not None else self.config.drain_timeout
-        with self._lock:
-            started = self._started
-        if not started:
-            return True
-        self.log.info("draining: accept closed, waiting for in-flight work")
-        self.flight.record("drain", f"timeout={timeout}")
-        if self.acceptor is not None:
-            self.acceptor.close()
-        deadline = time.monotonic() + timeout
-        settled_since = None
-        drained = False
-        while time.monotonic() < deadline:
-            if self._quiescent():
-                # Hold quiescence briefly: a request read off the socket
-                # but not yet queued would look done for an instant.
-                if settled_since is None:
-                    settled_since = time.monotonic()
-                elif time.monotonic() - settled_since >= 0.05:
-                    drained = True
-                    break
-            else:
-                settled_since = None
-            time.sleep(0.005)
-        self.stop()
-        return drained
-
-    def _quiescent(self) -> bool:
-        if self.processor is not None and (
-                self.processor.queue_length or self.processor.busy_count):
-            return False
-        return all(not conn.busy() for conn in self.container.connections())
-
-    # -- degradation -----------------------------------------------------
-    def degradation_status(self) -> dict:
-        """O17 plane snapshot for status pages (empty when disabled)."""
-        if self.shedding is None:
-            return {}
-        status = {"shed": self.shedding.status()}
-        if self.brownout is not None:
-            status["brownout"] = self.brownout.status()
-        if self.breaker is not None:
-            status["breaker"] = self.breaker.status()
-        if self.adaptive is not None:
-            status["adaptive"] = self.adaptive.status()
-        return status
-
-    # -- tracing ---------------------------------------------------------
-    def trace_records(self) -> list:
-        """Finished span records held by the exporter (empty when spans
-        stream to JSONL or profiling is off — read the file instead)."""
-        records = getattr(self.exporter, "records", None)
-        return records() if records is not None else []
-
-    def trace_report(self) -> str:
-        """Plain-text report over the exporter's in-memory records."""
-        return render_trace_report(self.trace_records())
 
     def __enter__(self) -> "ReactorServer":
         self.start()

@@ -9,9 +9,17 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.runtime import ReactorServer, RuntimeConfig, ServerHooks
+from harness import generated_server
+from repro.runtime import ServerHooks
 
 pytestmark = [pytest.mark.faults, pytest.mark.timeout(120)]
+
+#: Table 1 defaults plus O13 (the generated drain)
+OPTIONS = {
+    "O1": "1", "O2": True, "O3": True, "O4": "Asynchronous",
+    "O5": "Static", "O6": None, "O7": False, "O8": False, "O9": False,
+    "O10": "Production", "O11": False, "O12": False, "O13": True,
+}
 
 
 class SlowUpperHooks(ServerHooks):
@@ -38,12 +46,8 @@ payloads = st.lists(
 @given(batch=payloads)
 def test_drain_never_loses_accepted_requests(batch):
     hooks = SlowUpperHooks(delay=0.03)
-    config = RuntimeConfig(
-        fault_tolerance=True,
-        drain_timeout=10.0,
-        processor_threads=2,
-    )
-    server = ReactorServer(hooks, config)
+    server = generated_server(OPTIONS, hooks, drain_timeout=10.0,
+                              processor_threads=2)
     server.start()
     try:
         client = socket.create_connection(("127.0.0.1", server.port),

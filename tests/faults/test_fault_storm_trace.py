@@ -1,17 +1,26 @@
-"""The acceptance storm: a seeded fault against a sharded server, then
-the full per-request path — accept, shard placement, worker dispatch,
-stage bracketing, the injected fault, reply completion — reconstructed
-*purely* from flight-recorder dump files plus the trace exporter's
-records, never from live server state."""
+"""The acceptance storm: a seeded fault against a generated O14 server,
+then the full per-request path — accept, shard placement, worker
+dispatch, stage bracketing, the injected fault, reply completion —
+reconstructed *purely* from flight-recorder dump files plus the trace
+exporter's records, never from live server state.
+
+Generated servers record to the process-global flight ring, so the
+reconstruction keeps only traces allocated after this test started."""
 
 import os
 
 import pytest
 
-from harness import ServerFixture, wait_until
+from harness import (
+    ServerFixture,
+    flight_events,
+    generated_server,
+    trace_floor,
+    wait_until,
+)
 from repro.faults import FaultPlane, FaultSpec
-from repro.obs.flight import parse_dump, reconstruct_path
-from repro.runtime import RuntimeConfig, ServerHooks, ShardedReactorServer
+from repro.obs.flight import GLOBAL, parse_dump, reconstruct_path
+from repro.runtime import ServerHooks
 
 pytestmark = [pytest.mark.faults, pytest.mark.timeout(120)]
 
@@ -20,6 +29,15 @@ pytestmark = [pytest.mark.faults, pytest.mark.timeout(120)]
 SEED = 4
 CRASH_INDEX = 3
 REQUESTS = 12
+SHARDS = 4
+
+#: O11 (spans) + O13 (supervision, drain) + O14, synchronous handling
+OPTIONS = {
+    "O1": "1", "O2": True, "O3": True, "O4": "Synchronous",
+    "O5": "Static", "O6": None, "O7": False, "O8": False, "O9": False,
+    "O10": "Production", "O11": True, "O12": False, "O13": True,
+    "O14": SHARDS,
+}
 
 
 class PingHooks(ServerHooks):
@@ -50,42 +68,47 @@ def load_events(directory):
     return events
 
 
-def test_fault_storm_path_reconstructed_from_dumps(tmp_path):
+def test_fault_storm_path_reconstructed_from_dumps(tmp_path, monkeypatch):
     auto_dir = tmp_path / "auto"        # where crash-triggered dumps land
     probe_dir = tmp_path / "probe"      # the explicit end-of-run snapshot
     auto_dir.mkdir()
     probe_dir.mkdir()
+    monkeypatch.setenv("REPRO_FLIGHT_DIR", str(auto_dir))
+    floor = trace_floor()
 
     plane = FaultPlane(FaultSpec(handler_crash=0.3), seed=SEED)
-    cfg = RuntimeConfig(async_completions=False, fault_tolerance=True,
-                        supervision_interval=0.02, processor_threads=2,
-                        profiling=True, flight_dump_dir=str(auto_dir))
-    server = ShardedReactorServer(plane.wrap_hooks(PingHooks()), cfg,
-                                  shards=3)
+    server = generated_server(OPTIONS, plane.wrap_hooks(PingHooks()),
+                              supervision_interval=0.02,
+                              processor_threads=2)
     plane.install(server)
+    shards = server.sharding.shards
     with ServerFixture(server) as fixture:
         outcomes = [attempt(fixture) for _ in range(REQUESTS)]
         assert outcomes[CRASH_INDEX] == b""
         assert all(outcomes[i] == b"PING\n"
                    for i in range(REQUESTS) if i != CRASH_INDEX), outcomes
 
-        # The worker death dumped the victim shard's ring on its own —
-        # the always-on story: the evidence hits disk before anyone asks.
-        wait_until(lambda: server.shards[0].supervisor.restarts >= 1,
-                   message="supervisor never replaced the dead worker")
+        # The worker death dumped the flight ring on its own — the
+        # always-on story: the evidence hits disk before anyone asks.
+        victim_shard = shards[CRASH_INDEX % SHARDS]
+        wait_until(
+            lambda: victim_shard.resilience.supervisor.restarts >= 1,
+            message="supervisor never replaced the dead worker")
         auto_dumps = [name for name in os.listdir(auto_dir)
                       if "worker-death" in name]
         assert auto_dumps, "worker death produced no flight dump"
 
-        # One snapshot per recorder plane, then stop looking at the
-        # server: the reconstruction below reads only files and the
-        # exporter's record list.
-        server.flight.snapshot("probe", directory=str(probe_dir))
-        for shard in server.shards:
-            shard.flight.snapshot("probe", directory=str(probe_dir))
-        exported = server.trace_records()
+        # Drain, so every reply's write-complete is on the record, then
+        # snapshot the ring and stop looking at the server: the
+        # reconstruction below reads only files and the exporter's
+        # record list.
+        assert server.drain() is True
+        fixture.mark_stopped()
+        GLOBAL.snapshot("probe", directory=str(probe_dir))
+        exported = [record for shard in shards
+                    for record in shard.observability.exporter.records()]
 
-    events = load_events(probe_dir)
+    events = flight_events(floor, events=load_events(probe_dir))
 
     # The injected fault is on the record, naming its victim trace.
     faults = [e for e in events if e.category == "fault"]

@@ -1,5 +1,6 @@
-"""The overload storm: a 3-shard server at its connection cap under a
-seeded fault schedule, hammered with more connections than it will take.
+"""The overload storm: a generated 4-shard O17 server at its connection
+cap under a seeded fault schedule, hammered with more connections than
+it will take.
 
 Acceptance criteria for the O17 degradation plane (the robustness
 counterpart of test_fault_storm_trace's crash storm):
@@ -8,12 +9,15 @@ counterpart of test_fault_storm_trace's crash storm):
 * every connection over capacity gets a *well-formed* 503 with a
   ``Retry-After`` header — cheap explicit rejection, not a silent stall
   in the kernel backlog;
-* zero worker deaths: shedding happens on the accept plane, so the
+* zero worker deaths: shedding happens in the accept loop, so the
   storm never touches the shards' Event Processors;
 * the evidence is on the record: shed decisions (with reason codes and
-  trace ids) in the accept-plane flight ring, a ``sustained-overload``
-  dump on disk from the streak trigger, and the span exporter knowing
-  exactly the admitted — and none of the shed — connections.
+  trace ids) in the flight ring, a ``sustained-overload`` dump on disk
+  from the streak trigger, and the span exporter knowing exactly the
+  admitted — and none of the shed — connections.
+
+Generated servers record to the process-global flight ring, so the
+reconstruction keeps only traces allocated after this test started.
 """
 
 import os
@@ -22,20 +26,34 @@ import time
 
 import pytest
 
-from harness import ServerFixture, wait_until
+from harness import (
+    ServerFixture,
+    flight_events,
+    generated_server,
+    trace_floor,
+    wait_until,
+)
 from repro.faults import FaultPlane, FaultSpec
-from repro.obs.flight import parse_dump
-from repro.runtime import RuntimeConfig, ServerHooks, ShardedReactorServer
+from repro.obs.flight import GLOBAL, parse_dump
+from repro.runtime import ServerHooks
 
 pytestmark = [pytest.mark.faults, pytest.mark.timeout(120)]
 
 SEED = 11
-SHARDS = 3
+SHARDS = 4
 PER_SHARD_CAP = 2
 CAPACITY = SHARDS * PER_SHARD_CAP
 STORM = 15          # rejected connections on top of a full house
 AFTERMATH = 20      # admitted requests once the storm clears
 DUMP_AFTER = 5      # sustained-overload streak trigger
+
+#: O9 + O11 + O13 + O14 + O17, synchronous handling
+OPTIONS = {
+    "O1": "1", "O2": True, "O3": True, "O4": "Synchronous",
+    "O5": "Static", "O6": None, "O7": False, "O8": False, "O9": True,
+    "O10": "Production", "O11": True, "O12": False, "O13": True,
+    "O14": SHARDS, "O17": True,
+}
 
 
 class PingHooks(ServerHooks):
@@ -70,22 +88,22 @@ def parse_http(payload: bytes):
     return lines[0], headers, body
 
 
-def test_overload_storm_sheds_gracefully(tmp_path):
+def test_overload_storm_sheds_gracefully(tmp_path, monkeypatch):
     dump_dir = tmp_path / "dumps"
     probe_dir = tmp_path / "probe"
     dump_dir.mkdir()
     probe_dir.mkdir()
+    monkeypatch.setenv("REPRO_FLIGHT_DIR", str(dump_dir))
+    floor = trace_floor()
 
     # Seeded socket-level noise (fragmented reads, spurious readiness)
     # keeps the admitted path honest; no handler or send faults, so
     # every admission decision — and every 503 — stays deterministic.
     plane = FaultPlane(FaultSpec(partial_read=0.2, recv_eagain=0.1),
                        seed=SEED)
-    cfg = RuntimeConfig(
-        async_completions=False, fault_tolerance=True,
+    server = generated_server(
+        OPTIONS, plane.wrap_hooks(PingHooks()),
         supervision_interval=0.02, processor_threads=2,
-        profiling=True, flight_dump_dir=str(dump_dir),
-        degradation=True,
         max_connections=PER_SHARD_CAP,
         overload_dump_after=DUMP_AFTER,
         shed_retry_after=2.0,
@@ -93,9 +111,9 @@ def test_overload_storm_sheds_gracefully(tmp_path):
         # limiter out of the way so the connection cap decides alone
         shed_rate=1e6, shed_burst=1e6,
     )
-    server = ShardedReactorServer(plane.wrap_hooks(PingHooks()), cfg,
-                                  shards=SHARDS)
     plane.install(server)
+    shards = server.sharding.shards
+    plane_status = server.reactor.degradation
 
     with ServerFixture(server) as fixture:
         # -- fill the house: CAPACITY held connections, one request each
@@ -106,8 +124,7 @@ def test_overload_storm_sheds_gracefully(tmp_path):
             assert fixture.read_line(sock) == b"PING\n"
             occupiers.append(sock)
         wait_until(
-            lambda: all(s.overload.at_connection_limit()
-                        for s in server.shards),
+            lambda: all(s.overload.at_connection_limit() for s in shards),
             message="shards never reached the connection cap")
 
         # -- the storm: every connection over capacity is rejected with
@@ -121,9 +138,9 @@ def test_overload_storm_sheds_gracefully(tmp_path):
             assert int(headers["content-length"]) == len(body)
             assert body == b"503 Service Unavailable\r\n"
 
-        assert server.shedding.shed_total == STORM
-        assert server.acceptor.rejected == STORM
-        status = server.degradation_status()
+        assert plane_status.shedding.shed_total == STORM
+        assert server.reactor.acceptor_event_handler.rejected == STORM
+        status = plane_status.status()
         assert status["shed"]["shed_total"] == STORM
         assert status["shed"]["shed_by_reason"] == {"max-connections": STORM}
 
@@ -137,8 +154,7 @@ def test_overload_storm_sheds_gracefully(tmp_path):
         for sock in occupiers:
             sock.close()
         wait_until(
-            lambda: sum(s.overload.open_connections
-                        for s in server.shards) == 0,
+            lambda: sum(s.overload.open_connections for s in shards) == 0,
             message="closed connections never drained")
 
         latencies = []
@@ -151,16 +167,17 @@ def test_overload_storm_sheds_gracefully(tmp_path):
         assert p99 < 2.0, f"admitted p99 {p99:.3f}s not bounded"
 
         # -- zero worker deaths: the storm never reached a shard
-        for shard in server.shards:
-            assert shard.supervisor.restarts == 0
+        for shard in shards:
+            assert shard.resilience.supervisor.restarts == 0
 
-        server.flight.snapshot("probe", directory=str(probe_dir))
-        exported = server.trace_records()
+        GLOBAL.snapshot("probe", directory=str(probe_dir))
+        exported = [record for shard in shards
+                    for record in shard.observability.exporter.records()]
 
     # -- reconstruction from the dump alone ------------------------------
     (dump,) = os.listdir(probe_dir)
     with open(probe_dir / dump, encoding="utf-8") as fh:
-        events = parse_dump(fh.read())
+        events = flight_events(floor, events=parse_dump(fh.read()))
 
     sheds = [e for e in events if e.category == "shed"]
     assert len(sheds) == STORM

@@ -1,21 +1,32 @@
-"""Fault storm against the sharded shape: a seeded WorkerCrash kills
-one shard's Event Processor worker mid-event; that shard's O13
+"""Fault storm against a generated O14 server: a seeded WorkerCrash
+kills one shard's Event Processor worker mid-event; that shard's O13
 supervisor respawns it while the other shards keep serving — the blast
 radius of a worker death is one shard, not the server."""
 
 import pytest
 
-from harness import ServerFixture, wait_until
+from harness import ServerFixture, generated_server, wait_until
 from repro.faults import FaultPlane, FaultSpec
-from repro.runtime import RuntimeConfig, ServerHooks, ShardedReactorServer
+from repro.runtime import ServerHooks
 
 pytestmark = [pytest.mark.faults, pytest.mark.timeout(120)]
 
 #: with handler_crash=0.3, seed 4 injects exactly one crash in twelve
-#: handle() calls — at call index 3, which round-robin over three
-#: shards places on shard 0 (its second connection)
+#: handle() calls — at call index 3, which round-robin over four
+#: shards places on shard 3 (its first connection)
 SEED = 4
 CRASH_INDEX = 3
+SHARDS = 4
+REQUESTS = 12
+VICTIM = CRASH_INDEX % SHARDS
+
+#: O11 (status fields) + O13 (supervision) + O14, synchronous handling
+OPTIONS = {
+    "O1": "1", "O2": True, "O3": True, "O4": "Synchronous",
+    "O5": "Static", "O6": None, "O7": False, "O8": False, "O9": False,
+    "O10": "Production", "O11": True, "O12": False, "O13": True,
+    "O14": SHARDS,
+}
 
 
 class PingHooks(ServerHooks):
@@ -39,36 +50,39 @@ def attempt(fixture, timeout=1.0) -> bytes:
 
 def test_worker_crash_stays_inside_one_shard(tmp_path):
     plane = FaultPlane(FaultSpec(handler_crash=0.3), seed=SEED)
-    cfg = RuntimeConfig(async_completions=False, fault_tolerance=True,
-                        supervision_interval=0.02, processor_threads=2,
-                        profiling=True)
-    server = ShardedReactorServer(plane.wrap_hooks(PingHooks()), cfg,
-                                  shards=3)
+    server = generated_server(OPTIONS, plane.wrap_hooks(PingHooks()),
+                              supervision_interval=0.02,
+                              processor_threads=2)
     plane.install(server)
+    shards = server.sharding.shards
     with ServerFixture(server) as fixture:
-        outcomes = [attempt(fixture) for _ in range(12)]
+        outcomes = [attempt(fixture) for _ in range(REQUESTS)]
 
         # The seeded crash ate exactly one reply; every other request —
         # including later ones on the crashed shard — was served.
         assert outcomes[CRASH_INDEX] == b""
         assert all(outcomes[i] == b"PING\n"
-                   for i in range(12) if i != CRASH_INDEX), outcomes
+                   for i in range(REQUESTS) if i != CRASH_INDEX), outcomes
         assert [a.kind for a in plane.schedule.actions("handler")
                 ].count("crash") == 1
 
         # Round-robin spread the twelve connections evenly — the other
-        # shards were serving while shard 0 took the hit.
-        assert server.accepted_per_shard == [4, 4, 4]
+        # shards were serving while the victim shard took the hit.
+        assert server.sharding.accepted_per_shard == \
+            [REQUESTS // SHARDS] * SHARDS
 
         # The supervisor on the crashed shard — and only that shard —
         # replaced the dead worker, restoring the pool to full strength.
-        wait_until(lambda: server.shards[0].supervisor.restarts >= 1,
+        victim = shards[VICTIM]
+        wait_until(lambda: victim.resilience.supervisor.restarts >= 1,
                    message="supervisor never replaced the dead worker")
-        assert [s.supervisor.restarts for s in server.shards] == [1, 0, 0]
-        wait_until(lambda: server.shards[0].processor.thread_count == 2,
+        assert [s.resilience.supervisor.restarts for s in shards] == \
+            [int(i == VICTIM) for i in range(SHARDS)]
+        wait_until(lambda: victim.processor.thread_count == 2,
                    message="worker pool never restored to full strength")
 
         # Restart counters surface in the aggregated status report.
-        fields = dict(server.status_fields())
+        fields = dict(server.sharding.status_fields())
         assert float(fields["server_worker_restarts_total"]) == 1
-        assert float(fields['server_worker_restarts_total{shard="0"}']) == 1
+        assert float(fields[
+            f'server_worker_restarts_total{{shard="{VICTIM}"}}']) == 1

@@ -10,7 +10,11 @@ Three small tools replace ad-hoc ``time.sleep()`` synchronization:
   state (counters, tracer records) to become visible;
 * :class:`ServerFixture` — a context manager owning a started server's
   lifecycle plus the client-side plumbing every integration test was
-  re-implementing (connect, framed request/response, raw HTTP GET).
+  re-implementing (connect, framed request/response, raw HTTP GET);
+* :func:`generated_server` — a generated N-Server framework for an
+  option set, generated and imported once per test session;
+* :func:`trace_floor` / :func:`flight_events` — one test's slice of the
+  process-global flight ring that generated servers record to.
 
 The package lives under ``tests/`` (made importable as ``harness`` by
 ``tests/conftest.py``) because it is test infrastructure, not library
@@ -19,12 +23,17 @@ code: nothing under ``src/`` may depend on it.
 
 from __future__ import annotations
 
+import atexit
+import shutil
 import socket
+import tempfile
 import time
+import zlib
 from typing import Callable, Optional
 
 __all__ = ["FakeClock", "FakeHandle", "ServerFixture", "feed",
-           "wait_until"]
+           "flight_events", "generated_framework", "generated_server",
+           "trace_floor", "wait_until"]
 
 
 class FakeClock:
@@ -114,13 +123,64 @@ def wait_until(predicate: Callable[[], bool], timeout: float = 10.0,
         time.sleep(interval)
 
 
+_FRAMEWORKS: dict = {}
+
+
+def generated_framework(options: dict):
+    """The generated N-Server framework module for ``options``.
+
+    Generation and import run once per option set per test session;
+    every later call returns the cached module, so a test file can
+    build as many servers as it likes without paying for codegen.
+    """
+    key = repr(sorted(options.items(), key=lambda item: item[0]))
+    fw = _FRAMEWORKS.get(key)
+    if fw is None:
+        from repro.co2p3s.nserver import NSERVER
+        from repro.co2p3s.template import load_generated_package
+        dest = tempfile.mkdtemp(prefix="nserver_fw_")
+        atexit.register(shutil.rmtree, dest, True)
+        package = f"harness_fw_{zlib.crc32(key.encode()):08x}"
+        NSERVER.generate(NSERVER.configure(dict(options)), dest,
+                         package=package)
+        fw = _FRAMEWORKS[key] = load_generated_package(dest, package)
+    return fw
+
+
+def generated_server(options: dict, hooks, **settings):
+    """A not-yet-started generated ``Server`` over ``hooks``, tuned by
+    ``settings`` (any ``ServerConfiguration`` attribute)."""
+    fw = generated_framework(options)
+    return fw.Server(hooks, configuration=fw.ServerConfiguration(**settings))
+
+
+def trace_floor() -> int:
+    """A fresh trace id.  Every id allocated later in this process is
+    greater, so :func:`flight_events` can tell a test's requests from
+    earlier tests' in the shared flight ring."""
+    from repro.obs.tracing import next_trace_id
+    return next_trace_id()
+
+
+def flight_events(since: int, category: Optional[str] = None,
+                  events=None) -> list:
+    """Flight events of traces allocated after ``since`` — from
+    ``events`` (e.g. parsed dump files) or the live process-global
+    ring — optionally of one category."""
+    if events is None:
+        from repro.obs.flight import GLOBAL
+        events = GLOBAL.events()
+    return [event for event in events if event.trace_id > since
+            and (category is None or event.category == category)]
+
+
 class ServerFixture:
     """Own a server's start/stop lifecycle and its client plumbing.
 
     Works with any object exposing ``start()``, ``stop()`` and ``port``
-    — the library ``ReactorServer``/``ShardedReactorServer`` and the
-    generated ``Server`` facade alike.  ``stop()`` is exactly-once:
-    tests that drain/stop early call :meth:`mark_stopped`.
+    — the static ``ReactorServer`` and the generated ``Server`` facade
+    alike.  ``stop()`` is exactly-once: tests that drain/stop early
+    call :meth:`mark_stopped`.
     """
 
     def __init__(self, server, host: str = "127.0.0.1",

@@ -168,3 +168,23 @@ def test_on_connect_hook_runs():
 
     conn = Communicator(FakeHandle(), H(), use_codec=False)
     assert seen == [conn]
+
+
+def test_reply_counts_as_busy_until_its_write_complete_is_recorded():
+    """Drain quiescence covers the flight evidence: from the send that
+    hands the reply's last bytes over (when a client may already act on
+    them) until ``write-complete`` is recorded, the connection still
+    reports work owed."""
+    seen = []
+
+    class ObservedHandle(FakeHandle):
+        def try_send(self):
+            sent = super().try_send()
+            seen.append(conn.busy())   # buffer empty, record not yet made
+            return sent
+
+    conn = Communicator(ObservedHandle(), ServerHooks(), use_codec=False)
+    feed(conn, b"reply\n")
+    assert bytes(conn.handle.sent) == b"reply\n"
+    assert seen == [True]
+    assert not conn.busy()

@@ -8,15 +8,23 @@ state), never slept.
 
 import random
 import socket
+import sys
 import threading
 
 import pytest
 
-from harness import wait_until
-from repro.runtime.deployment import ProcessSupervisor
+from harness import generated_framework, wait_until
+from repro.runtime.deployment import ProcessSupervisor, generated_worker_args
+from repro.servers.time_server import TimeServerHooks
 
-#: importable by the fresh worker interpreters (module:attr, zero-arg)
-HOOKS = "repro.servers.time_server:TimeServerHooks"
+#: the time server's Table 1 column with O11 (the status fields the
+#: supervisor aggregates), O13 (per-worker drain) and O16 (the Worker)
+OPTIONS = {
+    "O1": "1", "O2": True, "O3": False, "O4": "Synchronous",
+    "O5": "Static", "O6": None, "O7": False, "O8": False, "O9": False,
+    "O10": "Production", "O11": True, "O12": False, "O13": True,
+    "O16": 2,
+}
 
 pytestmark = pytest.mark.skipif(
     not hasattr(socket, "send_fds"),
@@ -24,10 +32,14 @@ pytestmark = pytest.mark.skipif(
 
 
 def make_supervisor(procs=2, **kwargs):
-    kwargs.setdefault("factory", "repro.runtime.deployment:reactor_worker")
-    kwargs.setdefault("args", {"hooks": HOOKS,
-                               "config": {"profiling": True,
-                                          "use_codec": False}})
+    """A supervisor whose workers each rebuild the generated time
+    server (hooks re-created from their importable class)."""
+    fw = generated_framework(OPTIONS)
+    module = sys.modules[fw.__name__ + ".deployment"]
+    kwargs.setdefault("factory", "repro.runtime.deployment:generated_worker")
+    kwargs.setdefault("args", generated_worker_args(
+        module.__name__, module.__file__, fw.ServerConfiguration(),
+        TimeServerHooks()))
     return ProcessSupervisor(procs=procs, **kwargs)
 
 
@@ -195,8 +207,6 @@ def test_aggregated_status_fields_cover_every_worker_exactly_once():
 
 
 def test_generated_worker_args_reject_unimportable_hooks():
-    from repro.runtime.deployment import generated_worker_args
-
     class LocalHooks:  # not importable from a fresh interpreter
         pass
 

@@ -1,5 +1,6 @@
 """Tests for the Decorator-pattern event sources."""
 
+import os
 import socket
 import threading
 import time
@@ -235,3 +236,57 @@ def test_decorator_chain_merges_all_sources():
 def test_null_source_rejects_handles():
     with pytest.raises(TypeError):
         NullEventSource().register(object())
+
+
+# -- fd reuse: a closed handle must not steal its fd's new owner -------------
+
+
+class _RacedHandle(SocketHandle):
+    """A closed handle as a racing thread saw it: that thread read
+    ``closed`` (False) just before the close landed, then carried on
+    into the event source with the stale object."""
+
+    @property
+    def closed(self):
+        return False
+
+
+@pytest.mark.parametrize("op", ["update_interest", "resume", "force_ready"])
+def test_closed_handle_does_not_repoint_reused_fd(poller_backend, op):
+    """Handle A is torn down and the kernel hands its fd number to a new
+    connection B.  A thread still holding A then calls ``op(A)``; the
+    poller must keep reporting B for that fd, or B's request is never
+    read (the lost-request race under connection churn)."""
+    src = SocketEventSource(poller=poller_backend)
+    a_sock, a_peer = socket.socketpair()
+    b_sock, b_peer = socket.socketpair()
+    try:
+        a = _RacedHandle(a_sock, name="a")
+        src.register(a)
+        fd = a.fileno()
+        src.pause(a)                    # A's event was in a processor
+        src.deregister(a)               # teardown...
+        a.close()                       # ...frees the fd number
+        os.dup2(b_sock.fileno(), fd)    # B's connection lands on it
+        b_sock.close()
+        b = SocketHandle(socket.socket(fileno=fd), name="b")
+        src.register(b)
+
+        getattr(src, op)(a)
+
+        b_peer.sendall(b"request")
+        seen = []
+        deadline = time.monotonic() + 2.0
+        while time.monotonic() < deadline and not any(
+                e.kind == EventKind.READABLE for e in seen):
+            seen.extend(src.poll(0.05))
+        assert [e.handle for e in seen
+                if e.kind == EventKind.READABLE][:1] == [b]
+        assert all(e.handle is not a for e in seen + src.poll(0.05))
+        assert b.try_recv() == b"request"
+    finally:
+        src.close()
+        for s in (a_peer, b_peer, b_sock):
+            s.close()
+        if "b" in locals():
+            b.close()
