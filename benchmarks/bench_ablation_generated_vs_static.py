@@ -10,12 +10,12 @@ confirms the generated framework is functionally equivalent and at
 least as fast on a loopback echo workload, and quantifies codegen cost.
 """
 
-import socket
 import tempfile
 import time
 
 from repro.co2p3s.nserver import NSERVER
 from repro.co2p3s.template import load_generated_package
+from repro.load import connect, read_line
 from repro.runtime import ReactorServer, RuntimeConfig, ServerHooks
 from repro.servers import TIME_SERVER_OPTIONS
 
@@ -25,19 +25,17 @@ class EchoHooks(ServerHooks):
         return request
 
 
-def drive(port: int, seconds: float = 2.0) -> float:
-    """Requests/s of a single pipelining client."""
-    s = socket.create_connection(("127.0.0.1", port), timeout=5)
-    s.settimeout(5)
+def echo_rate(port: int, seconds: float = 2.0) -> float:
+    """Requests/s of a single closed-loop client."""
+    s = connect(port, timeout=5)
     count = 0
     deadline = time.monotonic() + seconds
     payload = b"x" * 64 + b"\n"
+    buf = bytearray()
     try:
         while time.monotonic() < deadline:
             s.sendall(payload)
-            buf = b""
-            while not buf.endswith(b"\n"):
-                buf += s.recv(4096)
+            read_line(s, buf)
             count += 1
     finally:
         s.close()
@@ -59,7 +57,7 @@ def test_generated_vs_static(benchmark):
     generated = fw.Server(EchoHooks())
     generated.start()
     try:
-        gen_rate = drive(generated.port)
+        gen_rate = echo_rate(generated.port)
     finally:
         generated.stop()
 
@@ -67,7 +65,7 @@ def test_generated_vs_static(benchmark):
         use_codec=False, async_completions=False))
     static.start()
     try:
-        static_rate = drive(static.port)
+        static_rate = echo_rate(static.port)
     finally:
         static.stop()
 

@@ -16,13 +16,9 @@ import time
 
 import pytest
 
-from repro.experiments.fig3_poller import (
-    IdleSwarm,
-    _drive,
-    _pinned_backend,
-    materialise_small_fileset,
-)
-from repro.runtime import available_pollers
+from repro.experiments.fig3_poller import materialise_small_fileset
+from repro.load import IdleSwarm, drive
+from repro.runtime import available_pollers, pinned_poller
 from repro.servers.cops_http import build_cops_http
 
 #: ``python -m repro.bench --smoke`` sets this: a shrunk swarm whose
@@ -37,8 +33,13 @@ SPEEDUP_FLOOR = 1.3
 POLLERS = available_pollers()
 
 
+def run_clients(port, paths):
+    """ACTIVE_CLIENTS keep-alive closed-loop clients over ``paths``."""
+    drive(port, paths, ACTIVE_CLIENTS).checked()
+
+
 def start_server(docroot, builddir, poller):
-    with _pinned_backend(poller):
+    with pinned_poller(poller):
         server, _fw, _report = build_cops_http(
             str(docroot), dest=str(builddir),
             package=f"bench_poller_{poller}_fw", poller=poller)
@@ -61,9 +62,8 @@ def test_cops_http_poller_throughput(benchmark, tmp_path, fileset,
     server = start_server(docroot, tmp_path / "build", poller)
     swarm = IdleSwarm(server.port, idle)
     try:
-        _drive(server.port, paths[:len(paths) // 3], ACTIVE_CLIENTS)
-        benchmark.pedantic(_drive,
-                           args=(server.port, paths, ACTIVE_CLIENTS),
+        run_clients(server.port, paths[:len(paths) // 3])
+        benchmark.pedantic(run_clients, args=(server.port, paths),
                            rounds=3, iterations=1, warmup_rounds=1)
     finally:
         swarm.close()
@@ -86,11 +86,11 @@ def test_epoll_speedup_under_idle_swarm(tmp_path, fileset):
         server = start_server(docroot, tmp_path / poller, poller)
         swarm = IdleSwarm(server.port, idle)
         try:
-            _drive(server.port, paths, ACTIVE_CLIENTS)  # warmup
+            run_clients(server.port, paths)  # warmup
             times = []
             for _ in range(3):
                 started = time.monotonic()
-                _drive(server.port, paths, ACTIVE_CLIENTS)
+                run_clients(server.port, paths)
                 times.append(time.monotonic() - started)
             best[poller] = min(times)
         finally:

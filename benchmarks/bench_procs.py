@@ -13,12 +13,11 @@ Two measurements:
 """
 
 import os
-import socket
-import threading
 
 import pytest
 
 from repro.analysis import render_table
+from repro.load import drive
 from repro.servers.cops_http import build_cops_http
 from repro.workload import SpecWebFileSet
 
@@ -30,64 +29,21 @@ CLIENTS = 2 if SMOKE else 4
 REQUESTS_PER_CLIENT = 5 if SMOKE else 40
 
 
-def materialise_fileset(root, total_mb=2.0, seed=3):
-    """Write a small SpecWeb99 tree and return Zipf-ordered GET paths."""
-    fileset = SpecWebFileSet(total_mb, zipf_alpha=1.0, seed=seed)
-    for path, size in fileset.files():
-        target = root / path.lstrip("/")
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_bytes(b"x" * size)
-    return [fileset.sample()[0]
-            for _ in range(CLIENTS * REQUESTS_PER_CLIENT)]
-
-
-def get(port, path):
-    s = socket.create_connection(("127.0.0.1", port), timeout=10)
-    s.settimeout(10)
-    try:
-        s.sendall(f"GET {path} HTTP/1.1\r\nHost: b\r\n"
-                  "Connection: close\r\n\r\n".encode())
-        data = b""
-        while True:
-            chunk = s.recv(65536)
-            if not chunk:
-                return data
-            data += chunk
-    finally:
-        s.close()
-
-
-def drive(port, paths):
-    """CLIENTS concurrent closed-loop clients, Zipf request streams."""
-    per_client = len(paths) // CLIENTS
-    failures = []
-
-    def client(i):
-        for path in paths[i * per_client:(i + 1) * per_client]:
-            if not get(port, path).startswith(b"HTTP/1.1 200"):
-                failures.append(path)
-
-    threads = [threading.Thread(target=client, args=(i,))
-               for i in range(CLIENTS)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert not failures, failures[:3]
-
-
 @pytest.mark.parametrize("procs", (1, 4))
 def test_cops_http_procs_throughput(benchmark, tmp_path, procs):
     docroot = tmp_path / "docroot"
     docroot.mkdir()
-    paths = materialise_fileset(docroot)
+    paths = SpecWebFileSet(2.0, zipf_alpha=1.0, seed=3).materialise(
+        docroot, CLIENTS * REQUESTS_PER_CLIENT)
     server, _fw, _report = build_cops_http(
         str(docroot), dest=str(tmp_path / "build"),
         package=f"bench_procs_{procs}_fw", procs=procs)
     server.start()
     try:
-        benchmark.pedantic(drive, args=(server.port, paths),
-                           rounds=3, iterations=1, warmup_rounds=1)
+        benchmark.pedantic(
+            lambda: drive(server.port, paths, CLIENTS, mode="close",
+                          timeout=10).checked(),
+            rounds=3, iterations=1, warmup_rounds=1)
     finally:
         server.stop()
     benchmark.extra_info["procs"] = procs

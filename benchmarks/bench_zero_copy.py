@@ -10,14 +10,13 @@ and asserts the ratio the issue requires.
 """
 
 import os
-import socket
-import threading
 import time
 
 import pytest
 
 from repro.analysis import render_table
 from repro.experiments.fig3_zerocopy import materialise_large_fileset
+from repro.load import drive
 from repro.servers.cops_http import build_cops_http
 
 #: ``python -m repro.bench --smoke`` sets this: a shrunk workload whose
@@ -33,41 +32,10 @@ SPEEDUP_FLOOR = 1.3
 CLIENT_RCVBUF = 65536
 
 
-def get(port, path):
-    s = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    s.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, CLIENT_RCVBUF)
-    s.settimeout(30)
-    s.connect(("127.0.0.1", port))
-    try:
-        s.sendall(f"GET {path} HTTP/1.1\r\nHost: b\r\n"
-                  "Connection: close\r\n\r\n".encode())
-        data = b""
-        while True:
-            chunk = s.recv(65536)
-            if not chunk:
-                return data
-            data += chunk
-    finally:
-        s.close()
-
-
-def drive(port, paths):
+def run_clients(port, paths):
     """CLIENTS concurrent closed-loop clients over the Zipf sample."""
-    per_client = len(paths) // CLIENTS
-    failures = []
-
-    def client(i):
-        for path in paths[i * per_client:(i + 1) * per_client]:
-            if not get(port, path).startswith(b"HTTP/1.1 200"):
-                failures.append(path)
-
-    threads = [threading.Thread(target=client, args=(i,))
-               for i in range(CLIENTS)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert not failures, failures[:3]
+    drive(port, paths, CLIENTS, mode="close",
+          rcvbuf=CLIENT_RCVBUF).checked()
 
 
 def start_server(docroot, builddir, write_path):
@@ -92,7 +60,7 @@ def test_cops_http_write_path_throughput(benchmark, tmp_path, fileset,
     docroot, paths = fileset
     server = start_server(docroot, tmp_path / "build", write_path)
     try:
-        benchmark.pedantic(drive, args=(server.port, paths),
+        benchmark.pedantic(run_clients, args=(server.port, paths),
                            rounds=3, iterations=1, warmup_rounds=1)
     finally:
         server.stop()
@@ -110,11 +78,11 @@ def test_zero_copy_speedup(tmp_path, fileset):
     for write_path in ("buffered", "zerocopy"):
         server = start_server(docroot, tmp_path / write_path, write_path)
         try:
-            drive(server.port, paths)          # warmup (cache, allocator)
+            run_clients(server.port, paths)    # warmup (cache, allocator)
             times = []
             for _ in range(3):
                 started = time.monotonic()
-                drive(server.port, paths)
+                run_clients(server.port, paths)
                 times.append(time.monotonic() - started)
             best[write_path] = min(times)
         finally:

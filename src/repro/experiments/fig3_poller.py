@@ -18,22 +18,18 @@ methodology's point, and the repository gates on it
 
 from __future__ import annotations
 
-import os
 import random
 import shutil
-import socket
 import tempfile
-import threading
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis import render_series
-from repro.runtime import available_pollers
+from repro.load import IdleSwarm, drive
+from repro.runtime import available_pollers, pinned_poller
 
-__all__ = ["PollerPoint", "IdleSwarm", "run_poller_sweep",
+__all__ = ["PollerPoint", "run_poller_sweep",
            "format_fig3_poller", "materialise_small_fileset",
            "DEFAULT_IDLE_COUNTS"]
 
@@ -68,100 +64,6 @@ def materialise_small_fileset(root: Path, seed: int = 7,
     return [rng.choice(paths) for _ in range(requests)]
 
 
-class IdleSwarm:
-    """``count`` connected-but-silent sockets parked on the server.
-
-    Under epoll they cost nothing after registration; under select
-    every one of them is re-scanned by the kernel on every poll call.
-    """
-
-    def __init__(self, port: int, count: int):
-        self.sockets: List[socket.socket] = []
-        for _ in range(count):
-            s = socket.create_connection(("127.0.0.1", port), timeout=10)
-            self.sockets.append(s)
-
-    def close(self) -> None:
-        for s in self.sockets:
-            try:
-                s.close()
-            except OSError:
-                pass
-        self.sockets.clear()
-
-
-def _read_response(sock: socket.socket) -> None:
-    """Read one keep-alive HTTP response (headers + Content-Length body)."""
-    buf = b""
-    while b"\r\n\r\n" not in buf:
-        chunk = sock.recv(65536)
-        if not chunk:
-            raise ConnectionError("peer closed mid-response")
-        buf += chunk
-    head, body = buf.split(b"\r\n\r\n", 1)
-    assert head.startswith(b"HTTP/1.1 200"), head.splitlines()[0]
-    length = 0
-    for line in head.split(b"\r\n")[1:]:
-        name, _, value = line.partition(b":")
-        if name.strip().lower() == b"content-length":
-            length = int(value.strip())
-    while len(body) < length:
-        chunk = sock.recv(65536)
-        if not chunk:
-            raise ConnectionError("peer closed mid-body")
-        body += chunk
-
-
-def _drive(port: int, paths: Sequence[str], clients: int):
-    """``clients`` keep-alive closed-loop request streams; returns
-    (elapsed seconds, responses)."""
-    per_client = len(paths) // clients
-    errors: List[BaseException] = []
-
-    def client(i: int) -> None:
-        try:
-            s = socket.create_connection(("127.0.0.1", port), timeout=30)
-            s.settimeout(30)
-            s.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            try:
-                for path in paths[i * per_client:(i + 1) * per_client]:
-                    s.sendall(f"GET {path} HTTP/1.1\r\nHost: f\r\n\r\n"
-                              .encode())
-                    _read_response(s)
-            finally:
-                s.close()
-        except BaseException as exc:  # noqa: BLE001 - surfaced below
-            errors.append(exc)
-
-    threads = [threading.Thread(target=client, args=(i,))
-               for i in range(clients)]
-    started = time.monotonic()
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    elapsed = time.monotonic() - started
-    if errors:
-        raise errors[0]
-    return elapsed, per_client * clients
-
-
-@contextmanager
-def _pinned_backend(name: str):
-    """Pin ``REPRO_POLLER`` for a server's whole lifecycle: an
-    O18=select build emits no backend choice and would otherwise take
-    the platform pick."""
-    previous = os.environ.get("REPRO_POLLER")
-    os.environ["REPRO_POLLER"] = name
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_POLLER", None)
-        else:
-            os.environ["REPRO_POLLER"] = previous
-
-
 def run_poller_sweep(
     idle_counts: Sequence[int] = DEFAULT_IDLE_COUNTS,
     requests: int = 300,
@@ -182,7 +84,7 @@ def run_poller_sweep(
         paths = materialise_small_fileset(docroot, seed=seed,
                                           requests=requests)
         for poller in pollers:
-            with _pinned_backend(poller):
+            with pinned_poller(poller):
                 server, _fw, _report = build_cops_http(
                     str(docroot), dest=str(workdir / poller),
                     package=f"fig3_poller_{poller}_fw", poller=poller)
@@ -192,15 +94,15 @@ def run_poller_sweep(
                     for idle in idle_counts:
                         swarm = IdleSwarm(server.port, idle)
                         try:
-                            _drive(server.port, paths[:len(paths) // 3],
-                                   active_clients)  # warmup + drain accepts
-                            elapsed, responses = _drive(
-                                server.port, paths, active_clients)
+                            drive(server.port, paths[:len(paths) // 3],
+                                  active_clients).checked()  # warmup
+                            load = drive(server.port, paths,
+                                         active_clients).checked()
                             points.append(PollerPoint(
                                 poller=poller,
                                 idle_connections=idle,
-                                throughput=responses / elapsed,
-                                requests=responses))
+                                throughput=load.responses / load.elapsed,
+                                requests=load.responses))
                         finally:
                             swarm.close()
                 finally:

@@ -26,17 +26,15 @@ from __future__ import annotations
 
 import hashlib
 import shutil
-import socket
 import tempfile
-import threading
-import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 from repro.analysis import render_series
 from repro.co2p3s.nserver import NSERVER
 from repro.co2p3s.template import load_generated_package
+from repro.load import drive
 from repro.runtime import ServerHooks
 
 __all__ = ["CpuBoundHooks", "ProcsPoint", "run_procs_sweep",
@@ -94,43 +92,6 @@ class ProcsPoint:
     elapsed: float
 
 
-def _drive(port: int, clients: int, per_client: int):
-    """``clients`` concurrent closed-loop request streams; returns
-    (elapsed seconds, responses)."""
-    errors: List[BaseException] = []
-
-    def client(i: int) -> None:
-        try:
-            s = socket.create_connection(("127.0.0.1", port), timeout=30)
-            s.settimeout(30)
-            s.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            try:
-                for n in range(per_client):
-                    s.sendall(f"client {i} request {n}\n".encode())
-                    buf = b""
-                    while not buf.endswith(b"\n"):
-                        chunk = s.recv(4096)
-                        if not chunk:
-                            raise ConnectionError("peer closed mid-reply")
-                        buf += chunk
-            finally:
-                s.close()
-        except BaseException as exc:  # noqa: BLE001 - surfaced below
-            errors.append(exc)
-
-    threads = [threading.Thread(target=client, args=(i,))
-               for i in range(clients)]
-    started = time.monotonic()
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    elapsed = time.monotonic() - started
-    if errors:
-        raise errors[0]
-    return elapsed, clients * per_client
-
-
 def run_procs_sweep(
     proc_counts: Sequence[int] = DEFAULT_PROC_COUNTS,
     requests: int = 256,
@@ -141,6 +102,8 @@ def run_procs_sweep(
     generation-time choice, exactly like every other Table 1 column."""
     workdir = Path(tempfile.mkdtemp(prefix="fig3_procs_"))
     per_client = max(1, requests // clients)
+    payloads = [f"client {i} request {n}\n" for i in range(clients)
+                for n in range(per_client)]
     results: Dict[int, ProcsPoint] = {}
     try:
         for procs in proc_counts:
@@ -155,14 +118,15 @@ def run_procs_sweep(
                                configuration=fw.ServerConfiguration())
             server.start()
             try:
-                _drive(server.port, clients, max(1, per_client // 4))
-                elapsed, responses = _drive(server.port, clients,
-                                            per_client)
+                warmup = payloads[:clients * max(1, per_client // 4)]
+                drive(server.port, warmup, clients, lines=True).checked()
+                load = drive(server.port, payloads, clients,
+                             lines=True).checked()
                 results[procs] = ProcsPoint(
                     procs=procs,
-                    throughput=responses / elapsed,
-                    requests=responses,
-                    elapsed=elapsed)
+                    throughput=load.responses / load.elapsed,
+                    requests=load.responses,
+                    elapsed=load.elapsed)
             finally:
                 server.stop()
     finally:

@@ -15,15 +15,13 @@ from __future__ import annotations
 
 import random
 import shutil
-import socket
 import tempfile
-import threading
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Sequence
 
 from repro.analysis import render_series
+from repro.load import drive
 
 __all__ = ["WritePathPoint", "run_zerocopy_sweep", "format_fig3_zerocopy",
            "materialise_large_fileset", "DEFAULT_WRITE_PATH_CLIENTS"]
@@ -67,55 +65,6 @@ def materialise_large_fileset(root: Path, seed: int = 7,
     return rng.choices(paths, weights=weights, k=requests)
 
 
-def _get(port: int, path: str) -> int:
-    """One closed-loop GET; returns the number of body+head bytes read."""
-    s = socket.create_connection(("127.0.0.1", port), timeout=30)
-    s.settimeout(30)
-    try:
-        s.sendall(f"GET {path} HTTP/1.1\r\nHost: f\r\n"
-                  "Connection: close\r\n\r\n".encode())
-        received = 0
-        first = b""
-        while True:
-            chunk = s.recv(65536)
-            if not chunk:
-                break
-            if not first:
-                first = chunk[:15]
-            received += len(chunk)
-        assert first.startswith(b"HTTP/1.1 200"), first
-        return received
-    finally:
-        s.close()
-
-
-def _drive(port: int, paths: Sequence[str], clients: int):
-    """``clients`` concurrent closed-loop request streams; returns
-    (elapsed seconds, responses, bytes received)."""
-    per_client = len(paths) // clients
-    totals = [0] * clients
-    errors: List[BaseException] = []
-
-    def client(i: int) -> None:
-        try:
-            for path in paths[i * per_client:(i + 1) * per_client]:
-                totals[i] += _get(port, path)
-        except BaseException as exc:  # noqa: BLE001 - surfaced below
-            errors.append(exc)
-
-    threads = [threading.Thread(target=client, args=(i,))
-               for i in range(clients)]
-    started = time.monotonic()
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    elapsed = time.monotonic() - started
-    if errors:
-        raise errors[0]
-    return elapsed, per_client * clients, sum(totals)
-
-
 def run_zerocopy_sweep(
     client_counts: Sequence[int] = DEFAULT_WRITE_PATH_CLIENTS,
     requests: int = 60,
@@ -140,14 +89,14 @@ def run_zerocopy_sweep(
             points: List[WritePathPoint] = []
             try:
                 for clients in client_counts:
-                    elapsed, responses, received = _drive(
-                        server.port, paths, clients)
+                    load = drive(server.port, paths, clients,
+                                 mode="close").checked()
                     points.append(WritePathPoint(
                         write_path=write_path,
                         clients=clients,
-                        throughput=responses / elapsed,
-                        megabytes_per_sec=received / elapsed / 1e6,
-                        requests=responses))
+                        throughput=load.responses / load.elapsed,
+                        megabytes_per_sec=load.bytes / load.elapsed / 1e6,
+                        requests=load.responses))
             finally:
                 server.stop()
             results[write_path] = points

@@ -78,6 +78,7 @@ from repro.runtime.poller import (
     SelectPoller,
     available_pollers,
     make_poller,
+    pinned_poller,
 )
 from repro.runtime.processor import EventProcessor, ProcessorController
 from repro.runtime.profiling import NULL_PROFILER, NullProfiler, Profiler, ServerProfile
@@ -199,6 +200,7 @@ __all__ = [
     "is_transient_accept_error",
     "make_poller",
     "make_shard_policy",
+    "pinned_poller",
     "reject_handle",
     "rejection_response",
     "segment_bytes",

@@ -29,10 +29,11 @@ from __future__ import annotations
 import os
 import select
 import selectors
-from typing import Any, List, Optional, Tuple
+from contextlib import contextmanager
+from typing import Any, Iterator, List, Optional, Tuple
 
 __all__ = ["READ", "WRITE", "Poller", "SelectPoller", "EpollPoller",
-           "available_pollers", "make_poller"]
+           "available_pollers", "make_poller", "pinned_poller"]
 
 #: interest-mask bits (also the ready-mask bits :meth:`Poller.poll` returns)
 READ = 1
@@ -245,3 +246,19 @@ def make_poller(name: Optional[str] = None) -> Poller:
         return EpollPoller()
     raise ValueError(
         f"unknown poller {name!r} (expected one of {available_pollers()})")
+
+
+@contextmanager
+def pinned_poller(name: str) -> Iterator[None]:
+    """Set ``$REPRO_POLLER`` to ``name`` inside the block: an O18=select
+    build emits no backend choice, so without the pin :func:`make_poller`
+    gives it the platform default."""
+    previous = os.environ.get("REPRO_POLLER")
+    os.environ["REPRO_POLLER"] = name
+    try:
+        yield
+    finally:
+        if previous is None:
+            os.environ.pop("REPRO_POLLER", None)
+        else:
+            os.environ["REPRO_POLLER"] = previous

@@ -317,10 +317,11 @@ def build_cops_http(
     file I/O plane.
 
     ``poller="epoll"`` regenerates with option O18: the edge-triggered
-    ``select.epoll`` readiness backend with batched accepts;
-    ``poller="select"`` pins the portable level-triggered oracle.
-    ``None`` leaves O18 at whatever ``options`` says (the runtime then
-    picks the platform default, overridable via ``REPRO_POLLER``).
+    ``select.epoll`` readiness backend with batched accepts.
+    ``poller="select"`` (O18's default) emits no backend choice, so the
+    runtime takes ``$REPRO_POLLER``, else epoll where available: start
+    the server under :func:`repro.runtime.pinned_poller` to run the
+    select oracle.  ``None`` leaves O18 at whatever ``options`` says.
 
     Returns ``(server, framework_module, generation_report)``.
     """

@@ -18,12 +18,14 @@ SpecWeb99's structure, reproduced here:
 The file set is *synthetic*: only paths and sizes exist (no bytes), so a
 204.8 MB set costs a few hundred kilobytes of memory — which is what
 lets the simulator's caches run the real replacement code over the real
-size distribution.
+size distribution.  :meth:`SpecWebFileSet.materialise` writes a small set
+to disk for the real-socket benches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 from typing import List, Tuple
 
 import numpy as np
@@ -96,6 +98,15 @@ class SpecWebFileSet:
                 for f in range(1, 10):
                     out.append((self.path_of(d, c, f), self.size_of(c, f)))
         return out
+
+    def materialise(self, root: Path, requests: int) -> List[str]:
+        """Write the set under ``root`` (each file ``size`` bytes of
+        ``x``) and return ``requests`` sampled GET paths."""
+        for path, size in self.files():
+            target = root / path.lstrip("/")
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_bytes(b"x" * size)
+        return [self.sample()[0] for _ in range(requests)]
 
     # -- sampling -----------------------------------------------------------
     def sample(self) -> Tuple[str, int]:

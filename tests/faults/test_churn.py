@@ -2,8 +2,8 @@
 gets its complete reply.
 
 The default COPS-HTTP build serves from this process; a client
-subprocess (``harness/churn_client.py``) drives it from 8 threads with
-a seeded mix of one-shot ``Connection: close`` requests and keep-alive
+subprocess (``python -m repro.load``) drives it from 8 threads with a
+seeded mix of one-shot ``Connection: close`` requests and keep-alive
 runs.  Clients in another interpreter interleave with the server's
 accept, dispatch and teardown paths the way real traffic does, which
 in-process client threads sharing the server's GIL rarely reach: a
@@ -19,14 +19,16 @@ import sys
 
 import pytest
 
+import repro
 from harness import ServerFixture, generated_server
 from repro.co2p3s.nserver import COPS_HTTP_OPTIONS
 from repro.servers.cops_http import CopsHttpHooks
 
 pytestmark = [pytest.mark.faults, pytest.mark.timeout(120)]
 
-CLIENT = os.path.join(os.path.dirname(os.path.dirname(__file__)),
-                      "harness", "churn_client.py")
+#: the client subprocess imports the same ``repro`` this process tests
+CLIENT_ENV = dict(os.environ, PYTHONPATH=os.path.dirname(
+    os.path.dirname(repro.__file__)))
 #: (mix, seed, requests) per round: one-shot connections churn fds
 #: fastest; the keep-alive mix interleaves long and short connections
 ROUNDS = [("close", 1, 1000), ("close", 2, 1000), ("close", 3, 1000),
@@ -50,12 +52,12 @@ def test_every_churned_connection_gets_its_reply(poller_backend, docroot,
                               document_root=docroot)
     with ServerFixture(server) as fixture:
         done = subprocess.run(
-            [sys.executable, CLIENT, str(fixture.port), docroot,
+            [sys.executable, "-m", "repro.load", str(fixture.port), docroot,
              str(seed), str(requests), mix],
-            capture_output=True, text=True, timeout=90)
+            env=CLIENT_ENV, capture_output=True, text=True, timeout=90)
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout)
     assert report["failures"] == [], report
     assert report["requests"] == requests
-    assert report["ok"] == requests
+    assert report["responses"] == requests
     assert report["failed_connections"] == 0

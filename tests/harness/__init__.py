@@ -14,7 +14,10 @@ Three small tools replace ad-hoc ``time.sleep()`` synchronization:
 * :func:`generated_server` — a generated N-Server framework for an
   option set, generated and imported once per test session;
 * :func:`trace_floor` / :func:`flight_events` — one test's slice of the
-  process-global flight ring that generated servers record to.
+  process-global flight ring that generated servers record to;
+* :func:`http_get` / :func:`reply_complete` — one raw HTTP exchange
+  that returns whatever bytes arrived, for tests that inspect malformed
+  or partial replies.
 
 The package lives under ``tests/`` (made importable as ``harness`` by
 ``tests/conftest.py``) because it is test infrastructure, not library
@@ -33,7 +36,7 @@ from typing import Callable, Optional
 
 __all__ = ["FakeClock", "FakeHandle", "ServerFixture", "feed",
            "flight_events", "generated_framework", "generated_server",
-           "trace_floor", "wait_until"]
+           "http_get", "reply_complete", "trace_floor", "wait_until"]
 
 
 class FakeClock:
@@ -174,6 +177,36 @@ def flight_events(since: int, category: Optional[str] = None,
             and (category is None or event.category == category)]
 
 
+def http_get(port: int, request: bytes, timeout: float = 5.0) -> bytes:
+    """Send raw ``request`` bytes; return what arrived until one
+    ``Content-Length``-framed reply was complete, EOF or ``timeout``.
+    Tolerant on purpose, unlike :mod:`repro.load`: malformed-request
+    tests assert on the partial bytes."""
+    with socket.create_connection(("127.0.0.1", port), timeout) as s:
+        s.sendall(request)
+        buf = b""
+        while not reply_complete(buf):
+            try:
+                chunk = s.recv(65536)
+            except socket.timeout:
+                break
+            if not chunk:
+                break
+            buf += chunk
+        return buf
+
+
+def reply_complete(buf: bytes) -> bool:
+    """Whether ``buf`` holds a whole ``Content-Length``-framed reply."""
+    head, sep, body = buf.partition(b"\r\n\r\n")
+    if not sep:
+        return False
+    for line in head.split(b"\r\n"):
+        if line.lower().startswith(b"content-length:"):
+            return len(body) >= int(line.split(b":")[1])
+    return False
+
+
 class ServerFixture:
     """Own a server's start/stop lifecycle and its client plumbing.
 
@@ -241,25 +274,10 @@ class ServerFixture:
         """One-shot ``Connection: close`` HTTP GET; b'' if the server
         dropped the connection (e.g. an injected fault)."""
         try:
-            s = socket.create_connection((self.host, self.port),
-                                         timeout=timeout)
+            return http_get(self.port, f"GET {path} HTTP/1.1\r\nHost: t"
+                            "\r\nConnection: close\r\n\r\n".encode(), timeout)
         except OSError:
             return b""
-        s.settimeout(timeout)
-        data = b""
-        try:
-            s.sendall(f"GET {path} HTTP/1.1\r\nHost: t\r\n"
-                      "Connection: close\r\n\r\n".encode())
-            while True:
-                chunk = s.recv(65536)
-                if not chunk:
-                    break
-                data += chunk
-        except OSError:
-            pass
-        finally:
-            s.close()
-        return data
 
     def http_get_until_ok(self, path: str, attempts: int = 8) -> bytes:
         """Retry around injected faults (deterministic per seed)."""

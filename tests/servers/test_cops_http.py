@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from harness import http_get, reply_complete
 from repro.servers import build_cops_http
 
 
@@ -27,39 +28,6 @@ def server(site):
     server.start()
     yield server
     server.stop()
-
-
-def http_get(port, request: bytes, timeout=5.0) -> bytes:
-    s = socket.create_connection(("127.0.0.1", port), timeout=timeout)
-    s.settimeout(timeout)
-    try:
-        s.sendall(request)
-        buf = b""
-        while True:
-            try:
-                chunk = s.recv(65536)
-            except socket.timeout:
-                break
-            if not chunk:
-                break
-            buf += chunk
-            if _complete(buf):
-                break
-        return buf
-    finally:
-        s.close()
-
-
-def _complete(buf: bytes) -> bool:
-    head_end = buf.find(b"\r\n\r\n")
-    if head_end == -1:
-        return False
-    head = buf[:head_end].decode("latin-1", "replace")
-    for line in head.split("\r\n"):
-        if line.lower().startswith("content-length:"):
-            length = int(line.split(":")[1])
-            return len(buf) >= head_end + 4 + length
-    return False
 
 
 def test_get_index(server):
@@ -126,7 +94,7 @@ def test_persistent_connection_serves_multiple_requests(server):
         for _ in range(5):  # the paper's 5 requests per connection
             s.sendall(b"GET /index.html HTTP/1.1\r\nHost: x\r\n\r\n")
             buf = b""
-            while not _complete(buf):
+            while not reply_complete(buf):
                 buf += s.recv(65536)
             assert b"200 OK" in buf
     finally:

@@ -6,10 +6,9 @@ O11=No build — whose generated framework contains no observability code
 at all — answers 404 from the very same hook code.
 """
 
-import socket
-
 import pytest
 
+from harness import http_get
 from repro.co2p3s.nserver import COPS_HTTP_OBSERVABILITY_OPTIONS
 from repro.servers import build_cops_http
 
@@ -39,39 +38,6 @@ def plain_server(site, tmp_path_factory):
     server.start()
     yield server
     server.stop()
-
-
-def http_get(port, request: bytes, timeout=5.0) -> bytes:
-    s = socket.create_connection(("127.0.0.1", port), timeout=timeout)
-    s.settimeout(timeout)
-    try:
-        s.sendall(request)
-        buf = b""
-        while True:
-            try:
-                chunk = s.recv(65536)
-            except socket.timeout:
-                break
-            if not chunk:
-                break
-            buf += chunk
-            if _complete(buf):
-                break
-        return buf
-    finally:
-        s.close()
-
-
-def _complete(buf: bytes) -> bool:
-    head_end = buf.find(b"\r\n\r\n")
-    if head_end == -1:
-        return False
-    head = buf[:head_end].decode("latin-1", "replace")
-    for line in head.split("\r\n"):
-        if line.lower().startswith("content-length:"):
-            length = int(line.split(":")[1])
-            return len(buf) >= head_end + 4 + length
-    return False
 
 
 def fields_of(body: bytes) -> dict:
