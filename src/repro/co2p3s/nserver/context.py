@@ -47,7 +47,7 @@ def build_context(o: OptionSet) -> Dict[str, Any]:
                         ("send_reply", "writable")):
         tag = step.replace("_", "-")
         ctx[f"trace_{step}"] = on(
-            debug, f'self.reactor.tracer.trace("{tag}", event.handle.name)')
+            debug, f'self.reactor.tracer.record("{tag}", event.handle.name)')
         ctx[f"log_{step}"] = on(
             logging, f'self.reactor.log.debug(f"{label}: {{event.handle.name}}")')
         ctx[f"count_{step}"] = on(profiling, "self.events_handled += 1")
@@ -56,7 +56,7 @@ def build_context(o: OptionSet) -> Dict[str, Any]:
 
     for step in ("decode", "encode", "compute"):
         ctx[f"trace_{step}"] = on(
-            debug, f'self.reactor.tracer.trace("{step}", conn.handle.name)')
+            debug, f'self.reactor.tracer.record("{step}", conn.handle.name)')
         ctx[f"log_{step}"] = on(
             logging, f'self.reactor.log.debug(f"{step}: {{conn.handle.name}}")')
         ctx[f"touch_{step}"] = on(idle, "conn.touch()")
@@ -101,6 +101,19 @@ def build_context(o: OptionSet) -> Dict[str, Any]:
 
     # -- observability module -------------------------------------------------
     ctx["spans_tracer"] = "reactor.tracer" if debug else "None"
+    # Where /server-status reads its fields: this reactor, the O14
+    # shards merged, and under O16 first the whole deployment merged
+    # through the supervisor (None outside one, so the local fields
+    # stand in).
+    local_fields = ("self.reactor.sharding.status_fields()" if sharded
+                    else "self.status_fields()")
+    ctx["status_fields_expr"] = (
+        f"rt.cluster_status_fields() or {local_fields}" if multiproc
+        else local_fields)
+    ctx["trace_report_args"] = (
+        "[record for shard in self.reactor.sharding.shards "
+        "for record in shard.observability.exporter.records()], "
+        "sharded=True" if sharded else "self.exporter.records()")
     ctx["probe_queue_depth"] = on(
         pool, 'sampler.add_probe("server_queue_depth", '
               'lambda: reactor.processor.queue_length, '
@@ -171,7 +184,7 @@ def build_context(o: OptionSet) -> Dict[str, Any]:
     ctx["server_pipeline"] = five if codec else three
 
     ctx["server_open_trace"] = on(
-        debug, 'self.reactor.tracer.trace("server", f"open port {self.port}")')
+        debug, 'self.reactor.tracer.record("server", f"open port {self.port}")')
     ctx["server_open_log"] = on(
         logging, 'self.reactor.log.info(f"listening on port {self.port}")')
     ctx["server_open_idle_timer"] = on(
@@ -184,7 +197,7 @@ def build_context(o: OptionSet) -> Dict[str, Any]:
     ctx["touch_new_communicator"] = on(idle, "conn.touch()")
 
     ctx["client_connect_trace"] = on(
-        debug, 'self.reactor.tracer.trace("connect", handle.name)')
+        debug, 'self.reactor.tracer.record("connect", handle.name)')
     ctx["client_connect_log"] = on(
         logging, 'self.reactor.log.info(f"connecting to '
                  '{client_configuration.host}:{client_configuration.port}")')
@@ -192,13 +205,13 @@ def build_context(o: OptionSet) -> Dict[str, Any]:
         idle, "handle.last_activity = self.reactor.clock()")
 
     ctx["trace_server_event"] = on(
-        debug, 'self.reactor.tracer.trace("server-event", str(event.payload))')
+        debug, 'self.reactor.tracer.record("server-event", str(event.payload))')
     ctx["count_timer_events"] = on(profiling, "self.timer_events += 1")
     ctx["idle_scan_dispatch"] = on(idle, "self._idle_scan(event)")
     ctx["obs_sample_dispatch"] = on(profiling, "self._obs_sample(event)")
 
     ctx["trace_connect_event"] = on(
-        debug, 'self.reactor.tracer.trace("connect", conn.handle.name)')
+        debug, 'self.reactor.tracer.record("connect", conn.handle.name)')
     ctx["log_connect_event"] = on(
         logging, 'self.reactor.log.info(f"connected to {conn.handle.name}")')
     ctx["count_connections_established"] = on(
@@ -210,7 +223,7 @@ def build_context(o: OptionSet) -> Dict[str, Any]:
         "conn.send_bytes(conn.hooks.client_greeting(conn))")
 
     ctx["trace_accept"] = on(
-        debug, 'self.reactor.tracer.trace("accept", handle.name)')
+        debug, 'self.reactor.tracer.record("accept", handle.name)')
     ctx["log_accept"] = on(
         logging, 'self.reactor.log.info(f"accepted {handle.name}")')
     ctx["count_connections_accepted"] = on(
@@ -224,7 +237,7 @@ def build_context(o: OptionSet) -> Dict[str, Any]:
         "conn.send_bytes(conn.hooks.server_greeting(conn))")
 
     ctx["trace_app_event"] = on(
-        debug, 'self.reactor.tracer.trace("app-event", str(event.payload))')
+        debug, 'self.reactor.tracer.record("app-event", str(event.payload))')
     ctx["count_app_events"] = on(profiling, "self.events_handled += 1")
     ctx["touch_app_event"] = on(
         idle, "if event.handle is not None: "
@@ -233,7 +246,8 @@ def build_context(o: OptionSet) -> Dict[str, Any]:
     ctx["trace_connects"] = "True" if debug else "False"
 
     # -- reactor module ------------------------------------------------------------
-    ctx["make_tracer"] = on(debug, "self.tracer = rt.EventTracer()")
+    ctx["make_tracer"] = on(
+        debug, 'self.tracer = rt.FlightRecorder(name="tracer")')
     ctx["make_log"] = on(logging, "self.log = rt.ServerLog()")
     # The tracer is built first: the Observability span recorder mirrors
     # span events into it when the build is O10=Debug.
@@ -338,7 +352,6 @@ def build_context(o: OptionSet) -> Dict[str, Any]:
     ctx["stop_file_io"] = on(async_io, "self.file_io.stop()")
     ctx["final_obs_sample"] = on(
         profiling, "self.observability.sample()")
-    ctx["close_tracer"] = on(debug, "self.tracer.close()")
     ctx["log_stopped"] = on(logging, 'self.log.info("server stopped")')
 
     # -- resilience module (O13) --------------------------------------------------
@@ -496,5 +509,8 @@ def build_context(o: OptionSet) -> Dict[str, Any]:
     ctx["worker_port_expr"] = (
         "self.server.primary.server_component.port" if sharded
         else "self.server.server_component.port")
+    ctx["worker_status_fields_expr"] = (
+        "self.server.status_fields()" if sharded
+        else "self.server.observability.status_fields()")
 
     return ctx

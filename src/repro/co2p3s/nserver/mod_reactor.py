@@ -296,15 +296,14 @@ MODULE_REACTOR = ModuleSpec(
                         $stop_file_io
                         self.source.close()
                         $final_obs_sample
-                        $close_tracer
                         $log_stopped
                     ''',
                     # Resilience stops before the processor so a dead
                     # worker is not respawned into a stopping pool; the
                     # adaptive control loop stops before anything else so
                     # it never retunes a dismantling server.
-                    options=("O2", "O4", "O5", "O10", "O11", "O12", "O13",
-                             "O14", "O17"),
+                    options=("O2", "O4", "O5", "O11", "O12", "O13", "O14",
+                             "O17"),
                 ),
                 Fragment(
                     '''

@@ -127,6 +127,11 @@ _O11_FORBIDDEN = re.compile(
     r"|FlightRecorder|flight_|\.flight\b",
     re.IGNORECASE)
 
+#: the one flight recorder an O11=No build may construct: an O10=Debug
+#: Reactor's own event ring (its ``tracer``), which holds internal
+#: events only — no span, exporter or trace-id hookup
+_O10_DEBUG_RING = 'rt.FlightRecorder(name="tracer")'
+
 #: degradation vocabulary that must not survive into an O17=No build:
 #: the shedding policy, rate limiter, brownout, breaker, retry budget,
 #: sojourn queue and adaptive controller all belong to the degradation
@@ -192,6 +197,7 @@ def audit_report(report, label: str,
     emitted = set(report.class_names())
     absent = class_universe() - emitted
     check_o11 = options is not None and not options["O11"]
+    debug = _option_value(options, "O10", None) == "Debug"
     check_o16 = (options is not None
                  and int(_option_value(options, "O16", 2)) == 1)
     check_o17 = options is not None and not _option_value(options, "O17", True)
@@ -200,7 +206,8 @@ def audit_report(report, label: str,
     for filename, text in sorted(report.files.items()):
         where = f"{label}/{filename}"
         if check_o11 and filename != "__init__.py":
-            match = _O11_FORBIDDEN.search(text)
+            match = _O11_FORBIDDEN.search(
+                text.replace(_O10_DEBUG_RING, "") if debug else text)
             if match is not None:
                 findings.append(Finding(
                     kind="audit",

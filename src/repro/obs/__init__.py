@@ -1,6 +1,6 @@
 """Unified observability layer (option O11 and friends).
 
-Four pieces, composable and individually testable:
+Composable, individually testable pieces:
 
 * :mod:`repro.obs.registry` — thread-safe metrics registry (counters,
   gauges, bucketed histograms with p50/p90/p99 estimation, labeled
@@ -8,19 +8,21 @@ Four pieces, composable and individually testable:
   branch-free path;
 * :mod:`repro.obs.spans` — request-lifecycle spans bracketing the
   decode/handle/encode steps of the five-step cycle (Fig 1), recorded
-  into per-stage latency histograms and optionally mirrored into the
-  debug :class:`~repro.runtime.tracing.EventTracer`;
+  into per-stage latency histograms and optionally mirrored into an
+  O10=Debug build's flight recorder;
 * :mod:`repro.obs.sampler` — periodic gauge sampling of pull-style state
   (queue depth, pool size, open connections, overload trip state, cache
   hit rate);
 * :mod:`repro.obs.exposition` — Prometheus text format (with trace
   exemplars) and the Apache ``mod_status``-style ``/server-status``
-  report (HTML + ``?auto`` + ``?trace``);
+  report (HTML + ``?auto`` + ``?trace``), with one merge for the
+  sections of reactor shards (O14) and worker processes (O16);
 * :mod:`repro.obs.tracing` — end-to-end trace ids allocated at accept,
-  span exporters (in-memory ring, JSONL file) and the trace report;
-* :mod:`repro.obs.flight` — the always-on flight recorder: a bounded
-  ring of binary-packed lifecycle events, dumped on worker death,
-  quarantine or ``SIGUSR2``.
+  the in-memory span exporter and the trace report;
+* :mod:`repro.obs.flight` — the flight recorder: a bounded ring of
+  binary-packed events.  One always-on ring holds lifecycle events and
+  is dumped on worker death, quarantine or ``SIGUSR2``; an O10=Debug
+  build records its internal events into a ring of its own.
 
 This package deliberately does not import :mod:`repro.runtime` — the
 runtime imports *it* (the Profiler is a façade over the registry), and
@@ -28,11 +30,10 @@ the generated frameworks' ``Observability`` component wires the rest.
 """
 
 from repro.obs.exposition import (
-    clustered_status_fields,
+    merge_status_fields,
     render_prometheus,
     render_status_auto,
     render_status_html,
-    sharded_status_fields,
     status_fields,
 )
 from repro.obs.flight import (
@@ -57,13 +58,9 @@ from repro.obs.registry import (
 )
 from repro.obs.sampler import PeriodicSampler
 from repro.obs.tracing import (
-    NULL_EXPORTER,
-    JsonlExporter,
-    NullExporter,
     RingExporter,
     format_trace_id,
     next_trace_id,
-    read_jsonl,
     render_trace_report,
 )
 from repro.obs.spans import (
@@ -82,15 +79,12 @@ __all__ = [
     "FlightRecorder",
     "Gauge",
     "Histogram",
-    "JsonlExporter",
     "MetricFamily",
     "MetricsRegistry",
-    "NULL_EXPORTER",
     "NULL_METRIC",
     "NULL_REGISTRY",
     "NULL_SPAN",
     "NULL_SPANS",
-    "NullExporter",
     "NullMetric",
     "NullRegistry",
     "NullSpan",
@@ -99,18 +93,16 @@ __all__ = [
     "RingExporter",
     "Span",
     "SpanRecorder",
-    "clustered_status_fields",
     "dump_all",
     "format_trace_id",
     "install_signal_dump",
+    "merge_status_fields",
     "next_trace_id",
     "parse_dump",
-    "read_jsonl",
     "reconstruct_path",
     "render_prometheus",
     "render_status_auto",
     "render_status_html",
     "render_trace_report",
-    "sharded_status_fields",
     "status_fields",
 ]

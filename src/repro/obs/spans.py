@@ -118,6 +118,8 @@ class SpanRecorder:
     def __init__(self, registry, tracer=None, clock=time.monotonic,
                  buckets=DEFAULT_BUCKETS, exporter=None):
         self.registry = registry
+        #: O10 debug flight recorder that mirrors each finished span
+        #: (None = no mirroring)
         self.tracer = tracer
         self.clock = clock
         self.exporter = exporter
@@ -190,9 +192,10 @@ class SpanRecorder:
         if self.tracer is not None:
             parts = " ".join(f"{path}={ended - started:.6f}"
                              for path, started, ended in span.stages)
-            self.tracer.trace(
+            self.tracer.record(
                 "span", f"{span.name} {span.detail} "
-                        f"total={span.duration:.6f} {parts}".rstrip())
+                        f"total={span.duration:.6f} {parts}".rstrip(),
+                span.trace_id)
 
 
 class NullSpan:

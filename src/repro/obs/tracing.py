@@ -11,10 +11,9 @@ write path.  Two consumers see it:
   request span and hands finished spans to an *exporter* — but only in
   O11=Yes builds, where the generator wires an exporter in.
 
-Exporters are deliberately tiny: :class:`RingExporter` keeps the last
-N span records in memory (tests, the ``/server-status?trace`` page);
-:class:`JsonlExporter` appends one JSON object per line to a file
-(experiments, offline analysis).  A span record is a plain dict::
+The exporter is deliberately tiny: :class:`RingExporter` keeps the
+last N span records in memory (tests, the ``/server-status?trace``
+page).  A span record is a plain dict::
 
     {"trace_id": int, "parent_id": int, "name": str, "detail": str,
      "start": float, "end": float, "total": float,
@@ -27,21 +26,14 @@ status page serves.
 from __future__ import annotations
 
 import itertools
-import json
 import os
 from collections import deque
-from typing import Iterable, List, Optional
-
-from repro.lint.locks import make_lock
+from typing import Iterable, List
 
 __all__ = [
-    "JsonlExporter",
-    "NULL_EXPORTER",
-    "NullExporter",
     "RingExporter",
     "format_trace_id",
     "next_trace_id",
-    "read_jsonl",
     "render_trace_report",
 ]
 
@@ -88,7 +80,6 @@ class RingExporter:
         if capacity < 1:
             raise ValueError("exporter capacity must be >= 1")
         self.capacity = capacity
-        self.enabled = True
         self._ring: "deque[dict]" = deque(maxlen=capacity)
 
     def export(self, record: dict) -> None:
@@ -102,85 +93,6 @@ class RingExporter:
     def clear(self) -> None:
         """Drop the buffer (tests)."""
         self._ring.clear()
-
-    def flush(self) -> None:
-        """Nothing buffered outside the ring: no-op."""
-
-    def close(self) -> None:
-        """The ring stays readable after close: no-op."""
-
-
-class JsonlExporter:
-    """Span exporter appending one JSON object per line to a file.
-
-    The durable backend for experiments: post-process with any
-    line-oriented tooling, or :func:`read_jsonl`.  The writer takes a
-    lock per export — this exporter is for offline analysis, not the
-    hot path's always-on story (that is the flight recorder's job).
-    """
-
-    def __init__(self, path: str, append: bool = False):
-        self.path = path
-        self._fh = open(path, "a" if append else "w", encoding="utf-8")
-        self._lock = make_lock("jsonl-exporter")
-
-    def export(self, record: dict) -> None:
-        """Serialise and append one record (no-op after close)."""
-        line = json.dumps(record, sort_keys=True)
-        with self._lock:
-            if self._fh is not None:
-                self._fh.write(line + "\n")
-
-    def flush(self) -> None:
-        """Push buffered lines to the OS."""
-        with self._lock:
-            if self._fh is not None:
-                self._fh.flush()
-
-    def close(self) -> None:
-        """Flush and close the file (idempotent)."""
-        with self._lock:
-            if self._fh is not None:
-                self._fh.flush()
-                self._fh.close()
-                self._fh = None
-
-
-class NullExporter:
-    """The null object: every operation is a no-op."""
-
-    enabled = False
-
-    def export(self, record: dict) -> None:
-        """Discard the record."""
-
-    def records(self) -> List[dict]:
-        """Always empty."""
-        return []
-
-    def clear(self) -> None:
-        """Nothing to drop."""
-
-    def flush(self) -> None:
-        """Nothing to flush."""
-
-    def close(self) -> None:
-        """Nothing to close."""
-
-
-#: shared inert exporter (the O11=No span layer never exports anyway)
-NULL_EXPORTER = NullExporter()
-
-
-def read_jsonl(path: str) -> List[dict]:
-    """Load every record a :class:`JsonlExporter` wrote to ``path``."""
-    records: List[dict] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
 
 
 def render_trace_report(records: Iterable[dict],

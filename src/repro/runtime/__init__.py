@@ -5,10 +5,11 @@ Synthesises the four patterns from section II of the paper: Reactor
 (readiness selection + dispatch), Proactor and Asynchronous Completion
 Tokens (emulated non-blocking file I/O), and Acceptor-Connector
 (connection establishment).  Feature subsystems map to template options:
-scheduler (O8), overload (O9), profiling (O11), tracing (O10/O12),
+scheduler (O8), overload (O9), profiling (O11), logging (O12),
 idle (O7).
 """
 
+from repro.obs.flight import FlightRecorder
 from repro.runtime.acceptor import Acceptor, Connector
 from repro.runtime.buffers import (
     BufferPool,
@@ -63,7 +64,6 @@ from repro.runtime.events import (
     FileOpenEvent,
     FileReadEvent,
     ReadableEvent,
-    ShutdownEvent,
     TimerEvent,
     UserEvent,
     WritableEvent,
@@ -99,15 +99,7 @@ from repro.runtime.sharding import (
     make_shard_policy,
 )
 from repro.runtime.timerwheel import TimerWheel
-from repro.runtime.tracing import (
-    NULL_LOG,
-    NULL_TRACER,
-    EventTracer,
-    NullLog,
-    NullTracer,
-    ServerLog,
-    TraceRecord,
-)
+from repro.runtime.tracing import NULL_LOG, NullLog, ServerLog
 
 __all__ = [
     "Acceptor",
@@ -138,22 +130,20 @@ __all__ = [
     "EventQuarantine",
     "EventSource",
     "EventSourceDecorator",
-    "EventTracer",
     "FifoEventQueue",
     "FileHandle",
     "FileOpenEvent",
     "FileReadEvent",
+    "FlightRecorder",
     "Handle",
     "IdleConnectionReaper",
     "LeastConnectionsPolicy",
     "ListenHandle",
     "NULL_LOG",
     "NULL_PROFILER",
-    "NULL_TRACER",
     "NullEventSource",
     "NullLog",
     "NullProfiler",
-    "NullTracer",
     "OutBuffer",
     "OverloadController",
     "PENDING",
@@ -176,7 +166,6 @@ __all__ = [
     "ShardPolicy",
     "ShedDecision",
     "SheddingPolicy",
-    "ShutdownEvent",
     "STATS_SOCKET_ENV",
     "SocketEventSource",
     "SocketHandle",
@@ -185,7 +174,6 @@ __all__ = [
     "TimerEventSource",
     "TimerWheel",
     "TokenBucket",
-    "TraceRecord",
     "UserEvent",
     "Watermark",
     "WorkerSupervisor",

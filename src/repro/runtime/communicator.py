@@ -30,7 +30,7 @@ from repro.runtime.buffers import segment_bytes
 from repro.runtime.events import Event
 from repro.runtime.handles import SocketHandle
 from repro.runtime.profiling import NULL_PROFILER
-from repro.runtime.tracing import NULL_LOG, NULL_TRACER
+from repro.runtime.tracing import NULL_LOG
 
 __all__ = ["PENDING", "CLOSE", "ServerHooks", "Communicator"]
 
@@ -129,7 +129,7 @@ class Communicator:
         on_teardown: Optional[Callable[["Communicator"], None]] = None,
         update_interest: Optional[Callable[[SocketHandle], None]] = None,
         profiler=NULL_PROFILER,
-        tracer=NULL_TRACER,
+        tracer=None,
         log=NULL_LOG,
         spans=NULL_SPANS,
         clock=time.monotonic,
@@ -146,6 +146,8 @@ class Communicator:
         self.on_teardown = on_teardown
         self.update_interest = update_interest
         self.profiler = profiler
+        #: O10 debug event ring (a FlightRecorder); None when off, so a
+        #: production connection never formats a trace detail
         self.tracer = tracer
         self.log = log
         self.spans = spans
@@ -206,7 +208,8 @@ class Communicator:
             self.handle.last_activity = now
             self.spans.observe("read", now - t0)
             self.profiler.bytes_read(n)
-            self.tracer.trace("read", f"{self.handle.name} +{n}B")
+            if self.tracer is not None:
+                self.tracer.record("read", f"{self.handle.name} +{n}B")
             self._pump_requests()
             if self.closed:
                 return
@@ -233,7 +236,8 @@ class Communicator:
             self.handle.last_activity = now
             self.spans.observe("send", now - t0)
             self.profiler.bytes_sent(sent)
-            self.tracer.trace("send", f"{self.handle.name} -{sent}B")
+            if self.tracer is not None:
+                self.tracer.record("send", f"{self.handle.name} -{sent}B")
         if self.handle.closed:
             self.close()
             return
@@ -287,7 +291,8 @@ class Communicator:
             with span.stage("decode"):
                 request = self.step_decode(raw)
             self.flight.record("stage-exit", "decode", trace_id)
-            self.tracer.trace("decode", f"{self.handle.name} {len(raw)}B")
+            if self.tracer is not None:
+                self.tracer.record("decode", f"{self.handle.name} {len(raw)}B")
             span.stage_begin("handle")
             self.flight.record("stage-enter", "handle", trace_id)
             result = self.step_handle(request)
@@ -438,7 +443,8 @@ class Communicator:
             now = self.clock()
             self.spans.observe("send", now - t0)
             self.profiler.bytes_sent(sent)
-            self.tracer.trace("send", f"{self.handle.name} -{sent}B")
+            if self.tracer is not None:
+                self.tracer.record("send", f"{self.handle.name} -{sent}B")
             self.handle.last_activity = now
         if self.handle.closed:
             self.close()
@@ -489,7 +495,8 @@ class Communicator:
         if self.closed:
             return
         self.closed = True
-        self.tracer.trace("close", self.handle.name)
+        if self.tracer is not None:
+            self.tracer.record("close", self.handle.name)
         try:
             self.hooks.on_close(self)
         finally:

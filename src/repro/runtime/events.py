@@ -34,7 +34,6 @@ __all__ = [
     "CompletionEvent",
     "FileOpenEvent",
     "FileReadEvent",
-    "ShutdownEvent",
     "AsynchronousCompletionToken",
 ]
 
@@ -51,7 +50,6 @@ class EventKind(Enum):
     TIMER = auto()         # a timer fired
     USER = auto()          # application-defined event
     COMPLETION = auto()    # an asynchronous operation completed
-    SHUTDOWN = auto()      # server is stopping
 
 
 @dataclass
@@ -124,13 +122,6 @@ class UserEvent(Event):
     """An application-defined event."""
 
     kind = EventKind.USER
-    __slots__ = ()
-
-
-class ShutdownEvent(Event):
-    """The server is stopping."""
-
-    kind = EventKind.SHUTDOWN
     __slots__ = ()
 
 

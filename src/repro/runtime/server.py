@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.cache import FileCache
+from repro.obs.flight import FlightRecorder
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 from repro.obs.spans import NULL_SPANS, SpanRecorder
 from repro.runtime.acceptor import Acceptor
@@ -39,7 +40,7 @@ from repro.runtime.overload import OverloadController, Watermark
 from repro.runtime.processor import EventProcessor, ProcessorController
 from repro.runtime.profiling import NULL_PROFILER, Profiler
 from repro.runtime.scheduler import FifoEventQueue, QuotaPriorityQueue
-from repro.runtime.tracing import NULL_LOG, NULL_TRACER, EventTracer, ServerLog
+from repro.runtime.tracing import NULL_LOG, ServerLog
 
 __all__ = ["RuntimeConfig", "ReactorServer"]
 
@@ -91,14 +92,15 @@ class ReactorServer:
         self._started = False
         self._lock = threading.Lock()
 
-        # O11 / O10 / O12 feature objects (null objects when disabled).
-        self.tracer = EventTracer() if config.debug_mode else NULL_TRACER
+        # O11 / O10 / O12 feature objects (null objects or None when
+        # disabled).
+        self.tracer = (FlightRecorder(name="tracer")
+                       if config.debug_mode else None)
         self.log = ServerLog() if config.logging else NULL_LOG
         self.registry = MetricsRegistry() if config.profiling else NULL_REGISTRY
         self.profiler = (Profiler(registry=self.registry)
                          if config.profiling else NULL_PROFILER)
-        self.spans = (SpanRecorder(self.registry,
-                                   tracer=self.tracer if config.debug_mode else None)
+        self.spans = (SpanRecorder(self.registry, tracer=self.tracer)
                       if config.profiling else NULL_SPANS)
 
         # O6: file cache.
@@ -306,7 +308,6 @@ class ReactorServer:
         if self.reaper is not None:
             self.reaper.stop()
         self.source.close()
-        self.tracer.close()
         self.log.info("server stopped")
 
     def __enter__(self) -> "ReactorServer":

@@ -256,7 +256,7 @@ def test_sharding_code_present_when_o14_gt1():
     assert "self.primary.resilience.safe_accept(listen)" in sh
     assert "def drain(self" in sh
     # O11=Yes: aggregated per-shard status fields.
-    assert "obs.sharded_status_fields" in sh
+    assert "obs.merge_status_fields" in sh
     # O9=No: no overload gating woven into the accept loop.
     assert "overload" not in sh
     server = report.files["server.py"]
@@ -445,6 +445,16 @@ def test_feature_code_present_when_enabled():
     assert "QuotaPriorityQueue" in blob
     assert "rt.SheddingPolicy" in blob
     assert "rt.CircuitBreaker" in blob
+
+
+def test_debug_call_sites_record_into_a_flight_recorder():
+    """O10=Debug call sites record straight into the Reactor's own
+    flight recorder; no tracer adapter call survives anywhere."""
+    report = render(ALL_FEATURES_ON)
+    blob = "\n".join(report.files.values())
+    assert 'self.tracer = rt.FlightRecorder(name="tracer")' in blob
+    assert "self.reactor.tracer.record(" in blob
+    assert ".trace(" not in blob
 
 
 def test_dispatcher_threads_expression():

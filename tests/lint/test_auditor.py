@@ -122,6 +122,22 @@ def test_o11_yes_build_is_not_purity_scanned():
                    for f in audit_report(report, "stub"))
 
 
+def test_o11_purity_allows_only_the_o10_debug_ring():
+    ring = 'self.tracer = rt.FlightRecorder(name="tracer")\n'
+    debug = {"O11": False, "O10": "Debug"}
+    assert not any(
+        "o11-purity" in f.ident
+        for f in audit_report(_StubReport({"mod.py": ring}), "stub",
+                              options=debug))
+    # The same line in a Production build, or any other recorder in a
+    # Debug one, is residue.
+    for options, text in (({"O11": False, "O10": "Production"}, ring),
+                          (debug, ring + "r = rt.FlightRecorder()\n")):
+        assert "audit:o11-purity:mod.py" in [
+            f.ident for f in audit_report(_StubReport({"mod.py": text}),
+                                          "stub", options=options)]
+
+
 def test_o11_purity_ignores_in_flight_prose():
     # "in-flight" in drain docstrings must not read as recorder residue.
     options = {"O11": False}

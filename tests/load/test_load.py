@@ -9,6 +9,7 @@ import threading
 
 import pytest
 
+from harness import wait_until
 from repro.load import Failure, LoadResult, drive, read_reply
 
 OK = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
@@ -102,6 +103,10 @@ def assert_one_failure(load, server):
     assert load.responses == 0
     assert load.failed_connections == 1
     assert len(load.failures) == 1
+    # A client that fails before reading returns before the server
+    # thread has counted its accept.
+    wait_until(lambda: server.accepted >= 1, timeout=5.0,
+               message="the server never accepted")
     assert server.accepted == 1
     with pytest.raises(Failure):
         load.checked()

@@ -2,6 +2,7 @@
 
 from repro.obs import (
     MetricsRegistry,
+    merge_status_fields,
     render_prometheus,
     render_status_auto,
     render_status_html,
@@ -108,3 +109,99 @@ def test_render_status_html():
     assert "<tr><td>Total Accesses</td><td>10</td></tr>" in html
     assert "a&lt;b" in html and "x&amp;y" in html      # escaped
     assert "N-Server Status" in html
+
+
+# -- merging shard / worker sections ------------------------------------------
+
+
+#: two hand-built sections shaped like status_fields() output
+SECTION_A = [
+    ("Uptime", "5.000"),
+    ("Total Accesses", "10"),
+    ("ReqPerSec", "2.000"),
+    ("server_requests_total", "10"),
+    ("server_bytes_sent_total", "2048"),
+    ("server_cache_hit_rate", "0.5"),
+    ("server_request_stage_seconds{stage=\"read\"}", "3"),
+    ("server_queue_depth", "NaN"),
+    ("server_mode", "busy"),
+    ("rt_seconds-count", "4"),
+    ("rt_seconds-p50", "0.100000"),
+    ("rt_seconds{stage=\"read\"}-p99", "0.200000"),
+]
+SECTION_B = [
+    ("Uptime", "6.000"),
+    ("Total Accesses", "30"),
+    ("server_requests_total", "30"),
+    ("server_bytes_sent_total", "1024"),
+    ("server_cache_hit_rate", "1.0"),
+    ("server_request_stage_seconds{stage=\"read\"}", "5"),
+    ("server_queue_depth", "7"),
+    ("rt_seconds-count", "6"),
+    ("rt_seconds-p50", "0.300000"),
+]
+
+
+def test_merge_sums_scalars_and_averages_rates():
+    fields = dict(merge_status_fields(
+        [(0, SECTION_A), (1, SECTION_B)], "shard", uptime=10.0))
+    assert fields["server_requests_total"] == "40"
+    assert fields["server_request_stage_seconds{stage=\"read\"}"] == "8"
+    assert fields["server_cache_hit_rate"] == "0.75"
+    # the Apache block is recomputed over the sums, not summed
+    assert fields["Uptime"] == "10.000"
+    assert fields["Total Accesses"] == "40"
+    assert fields["Total kBytes"] == "3"
+    assert fields["ReqPerSec"] == "4.000"
+    assert fields["Shards"] == "2"
+
+
+def test_merge_keeps_histogram_and_derived_fields_per_section():
+    fields = dict(merge_status_fields(
+        [(0, SECTION_A), (1, SECTION_B)], "shard"))
+    for key in ("rt_seconds-count", "rt_seconds-p50",
+                "rt_seconds{stage=\"read\"}-p99"):
+        assert key not in fields
+    assert fields['rt_seconds{shard="0"}-count'] == "4"
+    assert fields['rt_seconds{shard="1"}-count'] == "6"
+    assert fields['rt_seconds{shard="1"}-p50'] == "0.300000"
+    assert fields['rt_seconds{stage="read",shard="0"}-p99'] == "0.200000"
+    # no uptime given: no Uptime or rate line in the aggregate, and a
+    # section's own Apache-derived copies never reappear re-labelled
+    assert "Uptime" not in fields and "ReqPerSec" not in fields
+    assert not [key for key in fields
+                if key.startswith(("Uptime{", "Total Accesses{",
+                                   "ReqPerSec{"))]
+
+
+def test_merge_relabels_inside_existing_braces():
+    fields = dict(merge_status_fields(
+        [(0, SECTION_A), (1, SECTION_B)], "shard"))
+    assert fields['server_requests_total{shard="1"}'] == "30"
+    assert fields['server_request_stage_seconds{stage="read",shard="0"}'] \
+        == "3"
+    # a worker's sections carry shard labels already: worker composes
+    sharded = merge_status_fields([(0, SECTION_A), (1, SECTION_B)], "shard")
+    cluster = dict(merge_status_fields([(4242, sharded)], "worker"))
+    assert cluster['server_requests_total{shard="1",worker="4242"}'] \
+        == "30"
+    assert cluster['Shards{worker="4242"}'] == "2"
+    assert cluster["Workers"] == "1"
+
+
+def test_merge_skips_non_numeric_and_nan_values():
+    fields = dict(merge_status_fields(
+        [(0, SECTION_A), (1, SECTION_B)], "worker"))
+    assert "server_mode" not in fields
+    assert fields['server_mode{worker="0"}'] == "busy"
+    # NaN in one section does not poison the sum of the others
+    assert fields["server_queue_depth"] == "7"
+    assert fields['server_queue_depth{worker="0"}'] == "NaN"
+
+
+def test_merge_emits_every_key_once():
+    sections = [(0, SECTION_A), (1, SECTION_B), (2, SECTION_A)]
+    for label in ("shard", "worker"):
+        keys = [key for key, _value in merge_status_fields(
+            sections, label, uptime=1.0)]
+        assert len(keys) == len(set(keys)), label

@@ -136,7 +136,7 @@ class FakeTracer:
     def __init__(self):
         self.records = []
 
-    def trace(self, category, detail):
+    def record(self, category, detail, trace_id=0):
         self.records.append((category, detail))
 
 

@@ -7,14 +7,11 @@ import threading
 import pytest
 
 from repro.obs import (
-    JsonlExporter,
     MetricsRegistry,
-    NullExporter,
     RingExporter,
     SpanRecorder,
     format_trace_id,
     next_trace_id,
-    read_jsonl,
     render_prometheus,
     render_trace_report,
 )
@@ -44,7 +41,7 @@ def test_format_trace_id_is_sixteen_hex_digits():
     assert len(format_trace_id(2 ** 64 - 1)) == 16
 
 
-# -- exporters -------------------------------------------------------------
+# -- exporter --------------------------------------------------------------
 
 def span_record(trace_id, start, name="request"):
     return {"trace_id": trace_id, "parent_id": 0, "name": name,
@@ -71,32 +68,6 @@ def test_ring_exporter_keeps_the_most_recent_records():
 def test_ring_exporter_capacity_below_one_is_rejected():
     with pytest.raises(ValueError):
         RingExporter(capacity=0)
-
-
-def test_jsonl_exporter_round_trips_and_closes_idempotently(tmp_path):
-    path = str(tmp_path / "spans.jsonl")
-    exporter = JsonlExporter(path)
-    exporter.export(span_record(1, 0.0))
-    exporter.export(span_record(2, 1.0))
-    exporter.flush()
-    assert [r["trace_id"] for r in read_jsonl(path)] == [1, 2]
-    exporter.close()
-    exporter.close()                        # idempotent
-    exporter.export(span_record(3, 2.0))    # no-op after close
-    assert len(read_jsonl(path)) == 2
-    # append mode continues an existing file instead of truncating it
-    appender = JsonlExporter(path, append=True)
-    appender.export(span_record(3, 2.0))
-    appender.close()
-    assert [r["trace_id"] for r in read_jsonl(path)] == [1, 2, 3]
-
-
-def test_null_exporter_is_inert():
-    exporter = NullExporter()
-    exporter.export(span_record(1, 0.0))
-    assert exporter.records() == []
-    exporter.flush()
-    exporter.close()
 
 
 # -- the trace report ------------------------------------------------------

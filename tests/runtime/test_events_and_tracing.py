@@ -4,18 +4,20 @@ import io
 
 import pytest
 
+from harness import FakeHandle, feed
 from repro.runtime import (
     AsynchronousCompletionToken,
+    Communicator,
     CompletionEvent,
     Event,
     EventKind,
-    EventTracer,
     FileReadEvent,
+    FlightRecorder,
     NULL_LOG,
     NULL_PROFILER,
-    NULL_TRACER,
     Profiler,
     ReadableEvent,
+    ServerHooks,
     ServerLog,
     TimerEvent,
     UserEvent,
@@ -130,36 +132,33 @@ def test_null_profiler_registry_is_null():
 
 
 # -- tracer ---------------------------------------------------------------------
+# An O10=Debug build's tracer is a FlightRecorder of its own; production
+# builds pass none, and the Communicator formats no trace detail.
 
 
 def test_tracer_records():
-    t = EventTracer(capacity=10)
-    t.trace("read", "conn1 +10B")
-    t.trace("send", "conn1 -20B")
-    assert len(t.records()) == 2
-    assert t.records("read")[0].detail == "conn1 +10B"
+    tracer = FlightRecorder(capacity=10, name="tracer")
+    conn = Communicator(FakeHandle(), ServerHooks(), tracer=tracer)
+    feed(conn, b"hi\n")
+    conn.close()
+    assert [e.category for e in tracer.events()] == [
+        "decode", "send", "close"]
+    assert tracer.events("send")[0].detail == "fake -3B"
 
 
 def test_tracer_ring_bounded():
-    t = EventTracer(capacity=5)
+    t = FlightRecorder(capacity=5, name="tracer")
     for i in range(20):
-        t.trace("x", str(i))
-    recs = t.records()
+        t.record("x", str(i))
+    recs = t.events()
     assert len(recs) == 5
     assert recs[0].detail == "15"
 
 
-def test_tracer_streams_to_sink():
-    sink = io.StringIO()
-    t = EventTracer(sink=sink)
-    t.trace("close", "conn9")
-    assert "[close] conn9" in sink.getvalue()
-
-
 def test_tracer_dump():
-    t = EventTracer()
-    t.trace("a", "1")
-    t.trace("b", "2")
+    t = FlightRecorder(name="tracer")
+    t.record("a", "1")
+    t.record("b", "2")
     out = io.StringIO()
     assert t.dump(out) == 2
     assert out.getvalue().count("\n") == 2
@@ -167,13 +166,15 @@ def test_tracer_dump():
 
 def test_tracer_capacity_validation():
     with pytest.raises(ValueError):
-        EventTracer(capacity=0)
+        FlightRecorder(capacity=0, name="tracer")
 
 
 def test_null_tracer_is_inert():
-    NULL_TRACER.trace("x", "y")
-    assert NULL_TRACER.records() == []
-    assert not NULL_TRACER.enabled
+    conn = Communicator(FakeHandle(), ServerHooks())
+    assert conn.tracer is None
+    feed(conn, b"x\n")
+    conn.close()
+    assert bytes(conn.handle.sent) == b"x\n"
 
 
 class FlushCountingSink(io.StringIO):
@@ -186,40 +187,12 @@ class FlushCountingSink(io.StringIO):
         super().flush()
 
 
-def test_tracer_flush_flushes_sink():
-    sink = FlushCountingSink()
-    t = EventTracer(sink=sink)
-    t.trace("x", "1")
-    t.flush()
-    assert sink.flushes >= 1
-
-
-def test_tracer_close_flushes_and_detaches_sink():
-    sink = FlushCountingSink()
-    t = EventTracer(sink=sink)
-    t.trace("x", "1")
-    t.close()
-    assert sink.flushes >= 1
-    assert not sink.closed               # caller owns the sink
-    streamed = sink.getvalue()
-    t.trace("x", "2")                    # after close: ring only
-    assert sink.getvalue() == streamed
-    assert [r.detail for r in t.records()] == ["1", "2"]
-    t.close()                            # idempotent
-    t.flush()                            # no sink: no-op
-
-
 def test_tracer_dump_flushes_destination():
-    t = EventTracer()
-    t.trace("a", "1")
+    t = FlightRecorder(name="tracer")
+    t.record("a", "1")
     out = FlushCountingSink()
     t.dump(out)
     assert out.flushes >= 1
-
-
-def test_null_tracer_flush_close_noop():
-    NULL_TRACER.flush()
-    NULL_TRACER.close()
 
 
 # -- log --------------------------------------------------------------------------

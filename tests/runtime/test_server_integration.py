@@ -218,7 +218,7 @@ def test_debug_mode_traces_events():
         srv.request(b"traced\n")
 
         def categories():
-            return {r.category for r in tracer.records()}
+            return {r.category for r in tracer.events()}
 
         wait_until(lambda: {"read", "send"} <= categories(),
                    message=f"tracer saw only {categories()}")

@@ -32,13 +32,16 @@ OPTION_PARAMETERS = [
 ]
 
 #: extension planes the static server must not wire (O13, O15, O16,
-#: O17 and the flight recorder)
+#: O17 and the always-on flight recorder's global ring and dumps; its
+#: O10=Debug event ring is a FlightRecorder of its own)
 FORBIDDEN_IMPORTS = {
     "repro.runtime.degradation",
     "repro.runtime.resilience",
     "repro.runtime.buffers",
     "repro.runtime.deployment",
-    "repro.obs.flight",
+    "repro.obs.flight.GLOBAL",
+    "repro.obs.flight.dump_all",
+    "repro.obs.flight.install_signal_dump",
 }
 
 

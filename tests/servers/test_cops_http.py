@@ -6,7 +6,8 @@ import time
 
 import pytest
 
-from harness import http_get, reply_complete
+from harness import http_get, reply_complete, wait_until
+from repro import load
 from repro.servers import build_cops_http
 
 
@@ -162,3 +163,37 @@ def test_concurrent_clients(server):
     for t in threads:
         t.join(timeout=10)
     assert all(b"200 OK" in results[i] for i in range(10))
+
+
+def test_production_build_has_no_tracer(server):
+    assert not hasattr(server.reactor, "tracer")
+
+
+def test_debug_build_records_one_get(tmp_path):
+    """O10=Debug: the generated Reactor's tracer is a flight recorder
+    holding every step of one GET, and the mirrored span carries that
+    request's trace id.  The 8 MiB body outgrows a default loopback
+    send buffer (tcp_wmem caps it at 4 MiB), so the reply also needs a
+    writable event: the send-reply step records too."""
+    (tmp_path / "huge.bin").write_bytes(bytes(8 << 20))
+    server, _fw, _report = build_cops_http(
+        str(tmp_path), options={"O10": "Debug", "O11": True})
+    server.start()
+    try:
+        with load.connect(server.port, timeout=5.0) as sock:
+            sock.sendall(b"GET /huge.bin HTTP/1.1\r\nHost: x\r\n"
+                         b"Connection: close\r\n\r\n")
+            assert load.read_reply(sock, bytearray(), close=True) \
+                > 8 << 20
+        tracer = server.reactor.tracer
+        wait_until(lambda: tracer.events("span"),
+                   message="no span mirrored into the tracer")
+        categories = {event.category for event in tracer.events()}
+        assert {"accept", "read-request", "decode", "compute", "encode",
+                "send-reply"} <= categories, categories
+        (record,) = server.reactor.observability.exporter.records()
+        assert record["trace_id"] != 0
+        assert [event.trace_id for event in tracer.events("span")] == [
+            record["trace_id"]]
+    finally:
+        server.stop()
